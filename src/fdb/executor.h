@@ -112,12 +112,13 @@ class ThreadPoolExecutor : public Executor {
 
   ~ThreadPoolExecutor() override { Shutdown(); }
 
+  /// Notifies under the lock: once a worker can see the task, the poster
+  /// is done with cv_. A foreign poster (a commit-pump ack) whose task lets
+  /// the owner destroy this executor then never notifies a destroyed cv_.
   void Post(std::function<void()> fn) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopped_) return;  // shutting down: drop (captured state frees)
-      ready_.push_back(std::move(fn));
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopped_) return;  // shutting down: drop (captured state frees)
+    ready_.push_back(std::move(fn));
     cv_.notify_one();
   }
 
@@ -126,12 +127,10 @@ class ThreadPoolExecutor : public Executor {
       Post(std::move(fn));
       return;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopped_) return;
-      timers_.push(Timer{clock_->NowMillis() + delay_millis, next_timer_seq_++,
-                         std::move(fn)});
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopped_) return;
+    timers_.push(Timer{clock_->NowMillis() + delay_millis, next_timer_seq_++,
+                       std::move(fn)});
     cv_.notify_one();
   }
 

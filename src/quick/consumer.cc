@@ -10,6 +10,28 @@
 
 namespace quick::core {
 
+namespace {
+
+/// Lease fencing of a transition out of processing: NotFound/LeaseLost
+/// mean another consumer finished or retook the item — not an error, but
+/// this consumer must apply nothing.
+Status Fenced(const Status& transition, bool* fenced) {
+  *fenced = transition.IsNotFound() || transition.IsLeaseLost();
+  return *fenced ? Status::OK() : transition;
+}
+
+/// A pointer's tenant zone. The zone lives on this cluster under the
+/// database's (cluster-independent) prefix; placement is irrelevant here,
+/// which is what lets stale pointers at a migration source resolve
+/// harmlessly.
+tup::Subspace ZoneSubspaceOf(const Pointer& pointer) {
+  return ck::CloudKitService::DatabaseSubspace(pointer.db_id)
+      .Sub("z")
+      .Sub(pointer.zone);
+}
+
+}  // namespace
+
 Consumer::Consumer(Quick* quick, std::vector<std::string> cluster_names,
                    JobRegistry* registry, ConsumerConfig config,
                    std::string consumer_id, LeaseCache* election_cache)
@@ -38,9 +60,10 @@ void Consumer::Start() {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true)) return;
 
-  if (config_.async_pipeline) {
-    // Pipelined mode (DESIGN.md §11): no Manager pool — lease, dequeue,
-    // and finish transactions live in the in-flight window and their
+  const ChainMode mode =
+      config_.async_pipeline ? ChainMode::kPipelined : ChainMode::kThreaded;
+  if (mode == ChainMode::kPipelined) {
+    // No Manager pool: chains live in the in-flight window and their
     // continuations run on the executor; Workers still execute handler
     // code on real threads (handlers are arbitrary blocking code). The
     // worker queue is sized to the window so a burst of dequeues does not
@@ -52,31 +75,22 @@ void Consumer::Start() {
         std::max<size_t>(static_cast<size_t>(config_.num_worker_threads) * 2,
                          static_cast<size_t>(
                              std::max(config_.max_inflight_txns, 1))));
-    threads_.emplace_back([this] { AsyncScannerLoop(); });
-    for (int i = 0; i < config_.num_worker_threads; ++i) {
+  } else {
+    manager_queue_ = std::make_unique<BlockingQueue<TopJob>>(
+        static_cast<size_t>(config_.num_manager_threads) * 2);
+    worker_queue_ = std::make_unique<BlockingQueue<WorkerJob>>(
+        static_cast<size_t>(config_.num_worker_threads) * 2);
+  }
+
+  threads_.emplace_back([this, mode] { ScannerLoop(mode); });
+  if (mode == ChainMode::kThreaded) {
+    for (int i = 0; i < config_.num_manager_threads; ++i) {
       threads_.emplace_back([this] {
-        while (auto job = worker_queue_->Pop()) {
-          ProcessWorkItem(*std::move(job));
+        while (auto job = manager_queue_->Pop()) {
+          LeaseBatch(job->cluster, {job->item_id}, ChainMode::kThreaded);
         }
       });
     }
-    threads_.emplace_back([this] { ExtenderLoop(); });
-    return;
-  }
-
-  manager_queue_ = std::make_unique<BlockingQueue<TopJob>>(
-      static_cast<size_t>(config_.num_manager_threads) * 2);
-  worker_queue_ = std::make_unique<BlockingQueue<WorkerJob>>(
-      static_cast<size_t>(config_.num_worker_threads) * 2);
-
-  threads_.emplace_back([this] { ScannerLoop(); });
-  for (int i = 0; i < config_.num_manager_threads; ++i) {
-    threads_.emplace_back([this] {
-      while (auto job = manager_queue_->Pop()) {
-        (void)ProcessTopItemImpl(job->cluster, job->item_id,
-                                 /*inline_processing=*/false);
-      }
-    });
   }
   for (int i = 0; i < config_.num_worker_threads; ++i) {
     threads_.emplace_back([this] {
@@ -101,9 +115,10 @@ void Consumer::Stop() {
     if (t.joinable()) t.join();
   }
   threads_.clear();
-  // Drain the in-flight window before tearing down the executor: every
-  // chain guarantees an EndTxn on every path (success, error, cancel), and
-  // SleepMillis advances a ManualClock so scheduled re-arms come due.
+  // Drain the in-flight window before tearing down the executor: the
+  // runner ends every pipelined transaction's slot on every path
+  // (success, error, cancel), and SleepMillis advances a ManualClock so
+  // scheduled re-arms come due.
   while (inflight_txns_.load(std::memory_order_acquire) > 0) {
     quick_->clock()->SleepMillis(1);
   }
@@ -114,10 +129,65 @@ void Consumer::Stop() {
 }
 
 // ---------------------------------------------------------------------------
+// The transaction runner. Synchronous chains (inline, threaded) keep the
+// plain blocking commit on the calling thread: routing them through the
+// async pipeline and waiting would hand every commit's acknowledgement to
+// the cluster's commit-pump thread. Pipelined chains hold a window slot per
+// transaction and continue on the executor.
+// ---------------------------------------------------------------------------
+
+void Consumer::RunStep(ChainMode mode, const std::string& cluster,
+                       TxnBody body, Continuation then) {
+  fdb::Database* db = Cluster(cluster);
+  if (mode != ChainMode::kPipelined) {
+    then(fdb::RunTransaction(db, body));
+    return;
+  }
+  BeginTxn();
+  fdb::RunTransactionAsync(db, std::move(body), exec_.get(), cancel_)
+      .OnReady([this, then = std::move(then)](const Status& st) {
+        then(st);
+        EndTxn();
+      });
+}
+
+void Consumer::CommitOnce(ChainMode mode, std::shared_ptr<fdb::Transaction> txn,
+                          Continuation then) {
+  if (mode != ChainMode::kPipelined) {
+    then(txn->Commit());
+    return;
+  }
+  BeginTxn();
+  // The shared_ptr keeps the transaction alive until the ack lands. It may
+  // arrive on the cluster's commit-pump thread, so the continuation is
+  // re-posted onto the executor before doing real work.
+  txn->CommitAsync().OnReady(
+      [this, txn, then = std::move(then)](const Status& st) {
+        exec_->Post([this, txn, then, st] {
+          then(st);
+          EndTxn();
+        });
+      });
+}
+
+bool Consumer::WaitForWindowSlot() {
+  if (inflight_txns_.load(std::memory_order_acquire) <
+      config_.max_inflight_txns) {
+    return true;
+  }
+  stats_.backpressure_waits.Increment();
+  while (running_.load() && inflight_txns_.load(std::memory_order_acquire) >=
+                                config_.max_inflight_txns) {
+    quick_->clock()->SleepMillis(1);
+  }
+  return running_.load();
+}
+
+// ---------------------------------------------------------------------------
 // Algorithm 1: Scanner.
 // ---------------------------------------------------------------------------
 
-void Consumer::ScannerLoop() {
+void Consumer::ScannerLoop(ChainMode mode) {
   std::vector<std::string> order = clusters_;
   while (running_.load()) {
     // shuffle(CIDS): random visiting order each round.
@@ -127,7 +197,7 @@ void Consumer::ScannerLoop() {
       if (!running_.load()) break;
       int processed = 0;
       while (running_.load() && processed < config_.processing_bound) {
-        Result<int> n = ScanClusterOnce(cluster, /*inline_processing=*/false);
+        Result<int> n = ScanClusterOnce(cluster, mode);
         if (!n.ok() || *n == 0) break;
         processed += *n;
         dispatched_this_round += *n;
@@ -137,6 +207,77 @@ void Consumer::ScannerLoop() {
       quick_->clock()->SleepMillis(config_.idle_sleep_millis);
     }
   }
+}
+
+Result<int> Consumer::ScanClusterOnce(const std::string& cluster_name,
+                                      ChainMode mode) {
+  if (crashed_.load()) return 0;
+  fdb::Database* cluster = Cluster(cluster_name);
+  if (cluster == nullptr) {
+    return Status::InvalidArgument("unknown cluster " + cluster_name);
+  }
+  // Open-circuit cluster: skip instead of burning retry budgets against a
+  // cluster that looks down; ShouldSkip lets the half-open probe through
+  // when the breaker's open duration has elapsed.
+  if (health_.ShouldSkip(cluster_name)) {
+    stats_.scans_skipped_breaker.Increment();
+    return 0;
+  }
+  stats_.scans.Increment();
+
+  // In threaded mode, peek only when Managers and Workers have
+  // insufficient tasks (Alg. 1 line 5): scanning is pointless — and, at
+  // scale, expensive — while the pipeline is still full.
+  if (mode == ChainMode::kThreaded) {
+    while (running_.load() &&
+           (!manager_queue_->Empty() ||
+            worker_queue_->Size() >=
+                2 * static_cast<size_t>(config_.num_worker_threads))) {
+      quick_->clock()->SleepMillis(1);
+    }
+    if (!running_.load()) return 0;
+  }
+
+  std::vector<std::string> selected =
+      PeekAndSelect(cluster, cluster_name, mode);
+
+  // Dispatch the selection as lease batches. Only pipelined chains batch:
+  // each batch waits for window room (the backpressure point) and
+  // amortizes one commit RTT over lease_batch_size pointers. Inline chains
+  // run a batch of one right here; threaded ones hand it to a Manager.
+  const size_t batch_max =
+      mode == ChainMode::kPipelined
+          ? static_cast<size_t>(std::max(config_.lease_batch_size, 1))
+          : 1;
+  int dispatched = 0;
+  std::vector<std::string> batch;
+  auto flush = [&]() -> bool {
+    if (batch.empty()) return true;
+    bool admitted = true;
+    if (mode == ChainMode::kThreaded) {
+      admitted = manager_queue_->Push(TopJob{cluster_name, batch.front()});
+    } else if (mode == ChainMode::kPipelined) {
+      admitted = WaitForWindowSlot();
+    }
+    if (!admitted) {  // shutting down
+      for (const std::string& id : batch) {
+        UnmarkInFlight(InFlightKey(cluster_name, id));
+      }
+      dispatched -= static_cast<int>(batch.size());
+    } else if (mode != ChainMode::kThreaded) {
+      LeaseBatch(cluster_name, std::move(batch), mode);
+    }
+    batch.clear();
+    return admitted;
+  };
+  for (const std::string& id : selected) {
+    if (!MarkInFlight(InFlightKey(cluster_name, id))) continue;
+    batch.push_back(id);
+    ++dispatched;
+    if (batch.size() >= batch_max && !flush()) return dispatched;
+  }
+  flush();
+  return dispatched;
 }
 
 bool Consumer::IsSequential(const std::string& cluster_name,
@@ -222,57 +363,9 @@ Consumer::ShardPlan Consumer::PlanShards(const std::string& cluster_name) {
   return plan;
 }
 
-Result<int> Consumer::ScanClusterOnce(const std::string& cluster_name,
-                                      bool inline_processing) {
-  if (crashed_.load()) return 0;
-  fdb::Database* cluster = Cluster(cluster_name);
-  if (cluster == nullptr) {
-    return Status::InvalidArgument("unknown cluster " + cluster_name);
-  }
-  // Open-circuit cluster: skip instead of burning retry budgets against a
-  // cluster that looks down; ShouldSkip lets the half-open probe through
-  // when the breaker's open duration has elapsed.
-  if (health_.ShouldSkip(cluster_name)) {
-    stats_.scans_skipped_breaker.Increment();
-    return 0;
-  }
-  stats_.scans.Increment();
-
-  // In threaded mode, peek only when Managers and Workers have
-  // insufficient tasks (Alg. 1 line 5): scanning is pointless — and, at
-  // scale, expensive — while the pipeline is still full.
-  if (!inline_processing && worker_queue_ != nullptr) {
-    while (running_.load() &&
-           (!manager_queue_->Empty() ||
-            worker_queue_->Size() >=
-                2 * static_cast<size_t>(config_.num_worker_threads))) {
-      quick_->clock()->SleepMillis(1);
-    }
-    if (!running_.load()) return 0;
-  }
-
-  std::vector<std::string> selected = PeekAndSelect(cluster, cluster_name);
-
-  int dispatched = 0;
-  for (const std::string& id : selected) {
-    const std::string key = InFlightKey(cluster_name, id);
-    if (!MarkInFlight(key)) continue;
-    ++dispatched;
-    if (inline_processing) {
-      (void)ProcessTopItemImpl(cluster_name, id, true);
-    } else {
-      if (!manager_queue_->Push(TopJob{cluster_name, id})) {
-        UnmarkInFlight(key);
-        --dispatched;
-        break;  // shutting down
-      }
-    }
-  }
-  return dispatched;
-}
 
 std::vector<std::string> Consumer::PeekAndSelect(
-    fdb::Database* cluster, const std::string& cluster_name) {
+    fdb::Database* cluster, const std::string& cluster_name, ChainMode mode) {
   // Peek: snapshot scan of the vesting index only (ids, not records), with
   // relaxed read-version handling (§6 optimizations). With a sharded
   // top-level queue, only the shards in this consumer's plan are peeked
@@ -300,10 +393,10 @@ std::vector<std::string> Consumer::PeekAndSelect(
     if (!ids.ok()) return {};  // transient; next round will retry
     return *std::move(ids);
   };
-  if (AsyncMode() && plan.visit.size() > 1) {
-    // Async mode: one peek transaction per shard, issued concurrently
-    // through the futures layer — the scanner fans out and joins instead
-    // of paying the per-shard read latencies serially.
+  if (mode == ChainMode::kPipelined && plan.visit.size() > 1) {
+    // Pipelined mode: one peek transaction per shard, run concurrently on
+    // the executor — the scanner fans out and joins instead of paying the
+    // per-shard read latencies serially.
     std::vector<fdb::Future<std::vector<std::string>>> peeks;
     peeks.reserve(plan.visit.size());
     for (const std::string& shard : plan.visit) {
@@ -358,119 +451,49 @@ std::vector<std::string> Consumer::PeekAndSelect(
 }
 
 Result<int> Consumer::RunOnePass(const std::string& cluster_name) {
-  return ScanClusterOnce(cluster_name, /*inline_processing=*/true);
+  return ScanClusterOnce(cluster_name, ChainMode::kInline);
 }
 
 // ---------------------------------------------------------------------------
-// Async pipelined mode (DESIGN.md §11). The Scanner admits work into a
-// bounded window of in-flight transaction chains; every commit rides the
-// cluster's async group-commit pipeline, so the commit RTTs that the
-// synchronous Manager pool pays one-at-a-time overlap here.
+// Algorithm 2: Manager.
 // ---------------------------------------------------------------------------
 
-void Consumer::AsyncScannerLoop() {
-  std::vector<std::string> order = clusters_;
-  while (running_.load()) {
-    std::shuffle(order.begin(), order.end(), scanner_rng_.engine());
-    int dispatched_this_round = 0;
-    for (const std::string& cluster : order) {
-      if (!running_.load()) break;
-      int processed = 0;
-      while (running_.load() && processed < config_.processing_bound) {
-        Result<int> n = AsyncScanClusterOnce(cluster);
-        if (!n.ok() || *n == 0) break;
-        processed += *n;
-        dispatched_this_round += *n;
-      }
-    }
-    if (dispatched_this_round == 0) {
-      quick_->clock()->SleepMillis(config_.idle_sleep_millis);
-    }
-  }
-}
-
-bool Consumer::AcquireWindowSlot() {
-  int cur = inflight_txns_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (cur >= config_.max_inflight_txns) {
-      stats_.backpressure_waits.Increment();
-      while (running_.load() && inflight_txns_.load(std::memory_order_acquire) >=
-                                    config_.max_inflight_txns) {
-        quick_->clock()->SleepMillis(1);
-      }
-      if (!running_.load()) return false;
-      cur = inflight_txns_.load(std::memory_order_relaxed);
-      continue;
-    }
-    if (inflight_txns_.compare_exchange_weak(cur, cur + 1,
-                                             std::memory_order_acq_rel)) {
-      return true;
-    }
-  }
-}
-
-Result<int> Consumer::AsyncScanClusterOnce(const std::string& cluster_name) {
-  if (crashed_.load()) return 0;
-  fdb::Database* cluster = Cluster(cluster_name);
-  if (cluster == nullptr) {
+Status Consumer::ProcessTopItem(const std::string& cluster_name,
+                                const std::string& item_id) {
+  if (Cluster(cluster_name) == nullptr) {
     return Status::InvalidArgument("unknown cluster " + cluster_name);
   }
-  if (health_.ShouldSkip(cluster_name)) {
-    stats_.scans_skipped_breaker.Increment();
-    return 0;
+  if (!MarkInFlight(InFlightKey(cluster_name, item_id))) {
+    return Status::FailedPrecondition("already in flight");
   }
-  stats_.scans.Increment();
-
-  std::vector<std::string> selected = PeekAndSelect(cluster, cluster_name);
-  if (selected.empty()) return 0;
-
-  // Dispatch the selection as lease batches: each batch occupies one
-  // window slot (acquired here — the backpressure point) and amortizes one
-  // commit RTT over lease_batch_size pointers.
-  const size_t batch_max =
-      static_cast<size_t>(std::max(config_.lease_batch_size, 1));
-  int dispatched = 0;
-  std::vector<std::string> batch;
-  auto flush = [&]() -> bool {
-    if (batch.empty()) return true;
-    if (!AcquireWindowSlot()) {
-      for (const std::string& id : batch) {
-        UnmarkInFlight(InFlightKey(cluster_name, id));
-        --dispatched;
-      }
-      batch.clear();
-      return false;  // shutting down
-    }
-    AsyncLeaseBatch(cluster_name, std::move(batch));
-    batch.clear();
-    return true;
-  };
-  for (const std::string& id : selected) {
-    if (!MarkInFlight(InFlightKey(cluster_name, id))) continue;
-    batch.push_back(id);
-    ++dispatched;
-    if (batch.size() >= batch_max && !flush()) return dispatched;
-  }
-  flush();
-  return dispatched;
+  Status result;
+  LeaseBatch(cluster_name, {item_id}, ChainMode::kInline, &result);
+  return result;
 }
 
-void Consumer::AsyncLeaseBatch(const std::string& cluster_name,
-                               std::vector<std::string> ids) {
-  // Caller holds one window slot and marked every id in flight; both are
-  // settled by the commit continuation (OnLeaseBatchCommitted).
+void Consumer::LeaseBatch(const std::string& cluster_name,
+                          std::vector<std::string> ids, ChainMode mode,
+                          Status* result) {
+  if (crashed_.load()) {  // the process "died": nothing more is leased
+    for (const std::string& id : ids) {
+      UnmarkInFlight(InFlightKey(cluster_name, id));
+    }
+    return;
+  }
+  // Single attempt, deliberately outside the retry loop: a conflict means
+  // another consumer has the pointer, and retrying would only rediscover
+  // that. The two failure sites match Figure 7's breakdown — (a) the item
+  // is observed leased/unvested at read time, (b) the conditional update
+  // loses at commit. Read collisions drop out of the batch before the
+  // commit; the survivors share one commit RTT.
   fdb::Database* cluster = Cluster(cluster_name);
   const ck::DatabaseRef cluster_db =
       quick_->cloudkit()->OpenClusterDb(cluster_name);
   const int64_t lease_start = quick_->clock()->NowMicros();
-
-  // Single attempt, like the synchronous LeaseTopItem: a conflict means
-  // another consumer has the pointer. Read collisions drop out of the
-  // batch before the commit; the survivors share one commit RTT.
   auto txn = std::make_shared<fdb::Transaction>(
       cluster->CreateTransaction(PeekOptions()));
-  std::vector<LeasedPointer> survivors;
-  survivors.reserve(ids.size());
+  std::vector<TopChain> survivors;
+  std::vector<TopChain> item_level;
   for (const std::string& id : ids) {
     stats_.pointer_lease_attempts.Increment();
     ck::QueueZone top_zone = quick_->OpenTopZoneFor(cluster_db, id, txn.get());
@@ -479,6 +502,15 @@ void Consumer::AsyncLeaseBatch(const std::string& cluster_name,
       health_.Observe(cluster_name, loaded.status());
       UnmarkInFlight(InFlightKey(cluster_name, id));
       continue;  // transient read error, or GC'd meanwhile
+    }
+    TopChain chain{cluster_name, **std::move(loaded), "", mode, result};
+    if (config_.item_level_leases_only &&
+        chain.pointer.job_type == ck::kPointerJobType) {
+      // Ablation A1: skip the pointer lease entirely; consumers contend on
+      // individual work items (local items still need the lease).
+      chain.lease_id = chain.pointer.lease_id;
+      item_level.push_back(std::move(chain));
+      continue;
     }
     Result<std::string> lease =
         top_zone.ObtainLease(id, config_.pointer_lease_millis);
@@ -493,40 +525,32 @@ void Consumer::AsyncLeaseBatch(const std::string& cluster_name,
       UnmarkInFlight(InFlightKey(cluster_name, id));
       continue;
     }
-    survivors.push_back(LeasedPointer{**std::move(loaded), *std::move(lease)});
+    chain.lease_id = *std::move(lease);
+    survivors.push_back(std::move(chain));
   }
+  for (TopChain& chain : item_level) HandlePointerItemLevel(std::move(chain));
   if (survivors.empty()) {
     stats_.lease_txn_micros.Record(quick_->clock()->NowMicros() - lease_start);
-    EndTxn();
     return;
   }
-  // The shared_ptr keeps the transaction alive until the ack lands (it may
-  // arrive on the cluster's commit-pump thread; the continuation re-posts
-  // onto the executor before doing real work).
-  txn->CommitAsync().OnReady(
-      [this, txn, cluster_name, lease_start,
-       survivors = std::move(survivors)](const Status& st) mutable {
-        exec_->Post([this, txn, cluster_name, lease_start,
-                     survivors = std::move(survivors), st]() mutable {
-          OnLeaseBatchCommitted(cluster_name, std::move(survivors),
-                                lease_start, st);
-          EndTxn();
-        });
+  CommitOnce(
+      mode, txn,
+      [this, cluster_name, mode, lease_start,
+       survivors = std::move(survivors)](const Status& commit) mutable {
+        OnLeaseCommitted(cluster_name, mode, std::move(survivors), lease_start,
+                         commit);
       });
 }
 
-void Consumer::OnLeaseBatchCommitted(const std::string& cluster_name,
-                                     std::vector<LeasedPointer> survivors,
-                                     int64_t lease_start,
-                                     const Status& commit) {
+void Consumer::OnLeaseCommitted(const std::string& cluster_name, ChainMode mode,
+                                std::vector<TopChain> survivors,
+                                int64_t lease_start, const Status& commit) {
   const int64_t lease_end = quick_->clock()->NowMicros();
   stats_.lease_txn_micros.Record(lease_end - lease_start);
   health_.Observe(cluster_name, commit);
-  if (crashed_.load() || !running_.load()) {
-    for (const LeasedPointer& s : survivors) {
-      UnmarkInFlight(InFlightKey(cluster_name, s.before.id));
-    }
-    return;
+  if (crashed_.load() || (mode == ChainMode::kPipelined && !running_.load())) {
+    for (const TopChain& chain : survivors) EndChain(chain, Status::OK());
+    return;  // leases abandoned; they expire
   }
   if (!commit.ok()) {
     if (commit.IsNotCommitted() && survivors.size() > 1) {
@@ -534,401 +558,27 @@ void Consumer::OnLeaseBatchCommitted(const std::string& cluster_name,
       // unknowable from the commit status — retry each pointer in its own
       // transaction so one contended pointer cannot poison the batch.
       stats_.lease_batch_fallbacks.Increment();
-      for (const LeasedPointer& s : survivors) {
-        BeginTxn();
-        AsyncLeaseBatch(cluster_name, {s.before.id});
+      for (const TopChain& chain : survivors) {
+        LeaseBatch(cluster_name, {chain.pointer.id}, mode, chain.result);
       }
       return;
     }
     if (commit.IsNotCommitted()) {
       stats_.lease_collisions_commit.Increment();
-      hooks_.Record(survivors.front().before.id, stage::kLeaseCollision,
+      hooks_.Record(survivors.front().pointer.id, stage::kLeaseCollision,
                     lease_start, lease_end, "commit");
     }
-    for (const LeasedPointer& s : survivors) {
-      UnmarkInFlight(InFlightKey(cluster_name, s.before.id));
-    }
+    for (const TopChain& chain : survivors) EndChain(chain, Status::OK());
     return;
   }
 
-  stats_.lease_batches.Increment();
+  if (mode == ChainMode::kPipelined) stats_.lease_batches.Increment();
   const ck::DatabaseRef cluster_db =
       quick_->cloudkit()->OpenClusterDb(cluster_name);
-  for (LeasedPointer& s : survivors) {
+  for (TopChain& chain : survivors) {
+    const ck::QueuedItem& before = chain.pointer;
     stats_.pointer_leases_acquired.Increment();
-    hooks_.Record(s.before.id, stage::kTopLeased, lease_start, lease_end);
-    const int64_t waited_ms =
-        quick_->clock()->NowMillis() - s.before.vesting_time;
-    if (waited_ms >= 0) {
-      stats_.pointer_latency_micros.Record(waited_ms * 1000);
-    }
-    if (s.before.job_type == ck::kPointerJobType) {
-      BeginTxn();
-      AsyncHandlePointer(cluster_name, s.before, s.lease_id);
-      continue;
-    }
-    // Local work item (§6): executed directly off the top-level queue.
-    WorkerJob job;
-    job.cluster = cluster_name;
-    job.db_id = cluster_db.id;
-    job.zone_name = quick_->TopZoneNameFor(cluster_name, s.before.id);
-    job.zone_subspace = cluster_db.ZoneSubspace(job.zone_name);
-    job.leased.item = s.before;
-    job.leased.item.lease_id = s.lease_id;
-    job.leased.item.vesting_time =
-        quick_->clock()->NowMillis() + config_.pointer_lease_millis;
-    job.leased.lease_id = s.lease_id;
-    job.async_finish = true;
-    const int64_t latency_ms =
-        quick_->clock()->NowMillis() - s.before.enqueue_time;
-    stats_.item_latency_micros.Record(latency_ms * 1000);
-    stats_.items_dequeued.Increment();
-    quick_->tenant_metrics()->OnDequeued(cluster_db.id, 1);
-    const std::string key = InFlightKey(cluster_name, s.before.id);
-    DispatchWorkerJob(std::move(job), /*inline_processing=*/false);
-    UnmarkInFlight(key);
-  }
-}
-
-void Consumer::AsyncHandlePointer(const std::string& cluster_name,
-                                  const ck::QueuedItem& pointer_item,
-                                  const std::string& lease_id) {
-  // Caller holds one window slot and the pointer's in-flight mark; every
-  // path below ends in UnmarkInFlight + EndTxn (via the requeue/GC step or
-  // an early finish).
-  fdb::Database* cluster = Cluster(cluster_name);
-  const std::string key = InFlightKey(cluster_name, pointer_item.id);
-  Result<Pointer> pointer = Pointer::FromItem(pointer_item);
-  if (!pointer.ok()) {
-    // Corrupt pointer: quarantine it (same contract as the sync path).
-    const ck::DatabaseRef cluster_db =
-        quick_->cloudkit()->OpenClusterDb(cluster_name);
-    auto fenced = std::make_shared<bool>(false);
-    const std::string item_id = pointer_item.id;
-    const std::string why = pointer.status().message();
-    fdb::RunTransactionAsync(
-        cluster,
-        [this, cluster_db, item_id, lease_id, why,
-         fenced](fdb::Transaction& txn) {
-          ck::QueueZone top_zone =
-              quick_->OpenTopZoneFor(cluster_db, item_id, &txn);
-          Status c =
-              top_zone.Quarantine(item_id, lease_id, "corrupt_pointer", why);
-          if (c.IsNotFound() || c.IsLeaseLost()) {
-            *fenced = true;
-            return Status::OK();
-          }
-          *fenced = false;
-          return c;
-        },
-        exec_.get(), cancel_)
-        .OnReady([this, item_id, fenced, key](const Status& st) {
-          if (st.ok()) {
-            if (*fenced) {
-              stats_.terminal_fenced.Increment();
-              hooks_.Mark(item_id, stage::kFenced, "corrupt_pointer");
-            } else {
-              stats_.items_quarantined.Increment();
-              MetricsRegistry::Default()
-                  ->GetCounter("quick.deadletter.quarantined")
-                  ->Increment();
-              hooks_.Mark(item_id, stage::kQuarantined, "corrupt_pointer");
-            }
-          }
-          UnmarkInFlight(key);
-          EndTxn();
-        });
-    return;
-  }
-
-  const tup::Subspace zone_subspace =
-      ck::CloudKitService::DatabaseSubspace(pointer->db_id)
-          .Sub("z")
-          .Sub(pointer->zone);
-  const ck::DatabaseId db_id = pointer->db_id;
-  const std::string zone_name = pointer->zone;
-
-  // Batch-dequeue transaction (Alg. 2 step ii), same body as the sync
-  // path — including the migration fence — but committed asynchronously;
-  // the chain's state lives on the heap across retries.
-  struct DequeueState {
-    std::vector<ck::LeasedItem> items;
-    std::optional<int64_t> min_vesting;
-  };
-  auto state = std::make_shared<DequeueState>();
-  const int64_t deq_start = quick_->clock()->NowMicros();
-  fdb::RunTransactionAsync(
-      cluster,
-      [this, state, db_id, zone_subspace](fdb::Transaction& txn) {
-        state->items.clear();
-        state->min_vesting = std::nullopt;
-        QUICK_ASSIGN_OR_RETURN(std::optional<std::string> fence,
-                               txn.Get(ck::MoveState::Key(db_id)));
-        if (fence.has_value()) {
-          std::optional<ck::MoveState> ms = ck::MoveState::Decode(*fence);
-          if (ms.has_value() && ms->FencesEnqueues()) return Status::OK();
-        }
-        ck::QueueZone zone(&txn, zone_subspace, quick_->clock(),
-                           config_.fifo_tenant_zones);
-        if (config_.fifo_tenant_zones) {
-          QUICK_ASSIGN_OR_RETURN(
-              state->items,
-              zone.DequeueFifo(config_.dequeue_max, config_.item_lease_millis));
-        } else {
-          QUICK_ASSIGN_OR_RETURN(
-              state->items,
-              zone.Dequeue(config_.dequeue_max, config_.item_lease_millis));
-        }
-        QUICK_ASSIGN_OR_RETURN(state->min_vesting, zone.MinVestingTime());
-        return Status::OK();
-      },
-      exec_.get(), cancel_)
-      .OnReady([this, state, cluster_name, pointer_item, lease_id,
-                zone_subspace, db_id, zone_name, deq_start,
-                key](const Status& st) {
-        const int64_t deq_end = quick_->clock()->NowMicros();
-        stats_.dequeue_txn_micros.Record(deq_end - deq_start);
-        health_.Observe(cluster_name, st);
-        if (!st.ok() || crashed_.load()) {
-          // Dequeue failed (or the process "died"): leases are abandoned
-          // and expire — another consumer takes over (§5).
-          UnmarkInFlight(key);
-          EndTxn();
-          return;
-        }
-        const int64_t now = quick_->clock()->NowMillis();
-        if (!state->items.empty()) {
-          quick_->tenant_metrics()->OnDequeued(
-              db_id, static_cast<int64_t>(state->items.size()));
-        }
-        for (ck::LeasedItem& li : state->items) {
-          stats_.items_dequeued.Increment();
-          stats_.item_latency_micros.Record((now - li.item.enqueue_time) *
-                                            1000);
-          hooks_.Record(li.item.id, stage::kDequeued, deq_start, deq_end,
-                        "batch=" + std::to_string(state->items.size()),
-                        /*parent=*/pointer_item.id);
-          WorkerJob job;
-          job.cluster = cluster_name;
-          job.db_id = db_id;
-          job.zone_name = zone_name;
-          job.zone_subspace = zone_subspace;
-          job.fifo_zone = config_.fifo_tenant_zones;
-          job.leased = std::move(li);
-          job.async_finish = true;
-          DispatchWorkerJob(std::move(job), /*inline_processing=*/false);
-        }
-        AsyncRequeueOrGcPointer(cluster_name, pointer_item, lease_id,
-                                !state->items.empty(), state->min_vesting,
-                                zone_subspace, key);
-      });
-}
-
-void Consumer::AsyncRequeueOrGcPointer(const std::string& cluster_name,
-                                       const ck::QueuedItem& pointer_item,
-                                       const std::string& lease_id,
-                                       bool found_items,
-                                       std::optional<int64_t> min_vesting,
-                                       const tup::Subspace& zone_subspace,
-                                       const std::string& inflight_key) {
-  // Final step of a pointer chain: every path releases the in-flight mark
-  // and the window slot.
-  auto finish = [this, inflight_key] {
-    UnmarkInFlight(inflight_key);
-    EndTxn();
-  };
-  if (crashed_.load()) {  // pointer lease abandoned
-    finish();
-    return;
-  }
-  fdb::Database* cluster = Cluster(cluster_name);
-  const ck::DatabaseRef cluster_db =
-      quick_->cloudkit()->OpenClusterDb(cluster_name);
-  const bool is_active = found_items || min_vesting.has_value();
-  const int64_t now = quick_->clock()->NowMillis();
-
-  if (is_active) {
-    const std::string item_id = pointer_item.id;
-    // Shared so the trace hook below reports the delay the committed
-    // attempt actually chose.
-    auto delay = std::make_shared<int64_t>(0);
-    fdb::RunTransactionAsync(
-        cluster,
-        [this, cluster_db, item_id, lease_id, min_vesting, zone_subspace,
-         delay](fdb::Transaction& txn) {
-          const int64_t tnow = quick_->clock()->NowMillis();
-          ck::QueueZone top_zone =
-              quick_->OpenTopZoneFor(cluster_db, item_id, &txn);
-          QUICK_ASSIGN_OR_RETURN(std::optional<ck::QueuedItem> loaded,
-                                 top_zone.Load(item_id));
-          if (!loaded.has_value()) return Status::OK();
-          if (loaded->lease_id != lease_id) return Status::OK();  // superseded
-          // Same fresh re-read as the sync path: continuations committed by
-          // finish transactions after the dequeue snapshot must not wait a
-          // full item lease behind a stale min-vesting.
-          ck::QueueZone zone(&txn, zone_subspace, quick_->clock(),
-                             config_.fifo_tenant_zones);
-          QUICK_ASSIGN_OR_RETURN(std::optional<int64_t> fresh,
-                                 zone.MinVestingTime());
-          const std::optional<int64_t>& effective =
-              fresh.has_value() ? fresh : min_vesting;
-          *delay = effective.has_value()
-                       ? std::max<int64_t>(0, *effective - tnow)
-                       : 0;
-          ck::QueuedItem updated = *std::move(loaded);
-          updated.vesting_time = tnow + *delay;
-          updated.lease_id.clear();
-          updated.last_active_time = tnow;
-          return top_zone.SaveItem(updated);
-        },
-        exec_.get(), cancel_)
-        .OnReady([this, item_id, delay, finish](const Status& st) {
-          if (st.ok()) {
-            stats_.pointers_requeued.Increment();
-            hooks_.Mark(item_id, stage::kRequeued,
-                        "pointer delay_ms=" + std::to_string(*delay));
-          }
-          finish();
-        });
-    return;
-  }
-
-  // Queue observed empty.
-  if (now - pointer_item.last_active_time < config_.min_inactive_millis) {
-    finish();
-    return;
-  }
-
-  // GC: transactional delete with a strong emptiness check, single attempt
-  // (same contract as the sync path: a racing enqueue aborts the commit).
-  auto txn = std::make_shared<fdb::Transaction>(cluster->CreateTransaction());
-  ck::QueueZone zone(txn.get(), zone_subspace, quick_->clock(),
-                     config_.fifo_tenant_zones);
-  Result<bool> empty = zone.IsEmpty();
-  if (!empty.ok()) {
-    finish();
-    return;
-  }
-  if (!*empty) {
-    stats_.pointer_gc_aborted.Increment();
-    finish();
-    return;
-  }
-  ck::QueueZone top_zone =
-      quick_->OpenTopZoneFor(cluster_db, pointer_item.id, txn.get());
-  Status st = top_zone.Complete(pointer_item.id, lease_id);
-  if (!st.ok()) {  // NotFound/LeaseLost: superseded — nothing to do
-    finish();
-    return;
-  }
-  const std::string item_id = pointer_item.id;
-  txn->CommitAsync().OnReady(
-      [this, txn, item_id, finish](const Status& commit) {
-        exec_->Post([this, txn, item_id, finish, commit] {
-          if (commit.IsNotCommitted()) {
-            stats_.pointer_gc_aborted.Increment();
-          } else if (commit.ok()) {
-            stats_.pointers_deleted.Increment();
-            hooks_.Mark(item_id, stage::kCompleted, "gc");
-          }
-          finish();
-        });
-      });
-}
-
-// ---------------------------------------------------------------------------
-// Algorithm 2: Manager.
-// ---------------------------------------------------------------------------
-
-Status Consumer::ProcessTopItem(const std::string& cluster_name,
-                                const std::string& item_id) {
-  const std::string key = InFlightKey(cluster_name, item_id);
-  if (!MarkInFlight(key)) {
-    return Status::FailedPrecondition("already in flight");
-  }
-  return ProcessTopItemImpl(cluster_name, item_id,
-                            /*inline_processing=*/true);
-}
-
-Result<std::pair<ck::QueuedItem, std::string>> Consumer::LeaseTopItem(
-    fdb::Database* cluster, const ck::DatabaseRef& cluster_db,
-    const std::string& item_id) {
-  // Single attempt, deliberately outside the retry loop: a conflict means
-  // another consumer has the pointer, and retrying would only rediscover
-  // that. The two failure sites match Figure 7's breakdown — (a) the item
-  // is observed leased/unvested at read time, (b) the conditional update
-  // loses at commit.
-  fdb::Transaction txn = cluster->CreateTransaction(PeekOptions());
-  ck::QueueZone top_zone = quick_->OpenTopZoneFor(cluster_db, item_id, &txn);
-  QUICK_ASSIGN_OR_RETURN(std::optional<ck::QueuedItem> loaded,
-                         top_zone.Load(item_id));
-  if (!loaded.has_value()) {
-    return Status::NotFound("top-level item gone");
-  }
-  ck::QueuedItem before = *std::move(loaded);
-  Result<std::string> lease =
-      top_zone.ObtainLease(item_id, config_.pointer_lease_millis);
-  if (!lease.ok()) return lease.status();  // kLeaseLost: read-detected
-  Status commit = txn.Commit();
-  if (!commit.ok()) return commit;  // kNotCommitted: commit-detected
-  return std::make_pair(std::move(before), *std::move(lease));
-}
-
-Status Consumer::ProcessTopItemImpl(const std::string& cluster_name,
-                                    const std::string& item_id,
-                                    bool inline_processing) {
-  if (crashed_.load()) return Status::OK();
-  const std::string key = InFlightKey(cluster_name, item_id);
-  Status st = [&]() -> Status {
-    fdb::Database* cluster = Cluster(cluster_name);
-    if (cluster == nullptr) {
-      return Status::InvalidArgument("unknown cluster " + cluster_name);
-    }
-    const ck::DatabaseRef cluster_db =
-        quick_->cloudkit()->OpenClusterDb(cluster_name);
-
-    if (config_.item_level_leases_only) {
-      // Ablation A1: skip the pointer lease entirely; consumers contend on
-      // individual work items.
-      fdb::Transaction txn = cluster->CreateTransaction(PeekOptions());
-      ck::QueueZone top_zone =
-          quick_->OpenTopZoneFor(cluster_db, item_id, &txn);
-      QUICK_ASSIGN_OR_RETURN(std::optional<ck::QueuedItem> loaded,
-                             top_zone.Load(item_id));
-      if (!loaded.has_value()) return Status::OK();
-      if (loaded->job_type == ck::kPointerJobType) {
-        return HandlePointerItemLevel(cluster_name, *loaded,
-                                      inline_processing);
-      }
-      // Local items still need a lease even in the ablation.
-    }
-
-    stats_.pointer_lease_attempts.Increment();
-    const int64_t lease_start = quick_->clock()->NowMicros();
-    Result<std::pair<ck::QueuedItem, std::string>> leased =
-        LeaseTopItem(cluster, cluster_db, item_id);
-    const int64_t lease_end = quick_->clock()->NowMicros();
-    stats_.lease_txn_micros.Record(lease_end - lease_start);
-    health_.Observe(cluster_name, leased.status());
-    if (!leased.ok()) {
-      const Status& err = leased.status();
-      if (err.IsNotFound()) return Status::OK();  // GC'd meanwhile
-      if (err.IsLeaseLost()) {
-        stats_.lease_collisions_read.Increment();
-        hooks_.Record(item_id, stage::kLeaseCollision, lease_start, lease_end,
-                      "read");
-      } else if (err.IsNotCommitted()) {
-        stats_.lease_collisions_commit.Increment();
-        hooks_.Record(item_id, stage::kLeaseCollision, lease_start, lease_end,
-                      "commit");
-      }
-      return Status::OK();
-    }
-    stats_.pointer_leases_acquired.Increment();
-    hooks_.Record(item_id, stage::kTopLeased, lease_start, lease_end);
-    const ck::QueuedItem& before = leased->first;
-    const std::string& lease_id = leased->second;
-
+    hooks_.Record(before.id, stage::kTopLeased, lease_start, lease_end);
     // Pointer pickup latency: how long it sat vested before a consumer
     // started serving its queue (Figures 5/6 series (a)).
     const int64_t waited_ms =
@@ -936,9 +586,9 @@ Status Consumer::ProcessTopItemImpl(const std::string& cluster_name,
     if (waited_ms >= 0) {
       stats_.pointer_latency_micros.Record(waited_ms * 1000);
     }
-
     if (before.job_type == ck::kPointerJobType) {
-      return HandlePointer(cluster_name, before, lease_id, inline_processing);
+      HandlePointer(std::move(chain));
+      continue;
     }
 
     // Local work item (§6): executed directly off the top-level queue.
@@ -948,306 +598,304 @@ Status Consumer::ProcessTopItemImpl(const std::string& cluster_name,
     job.zone_name = quick_->TopZoneNameFor(cluster_name, before.id);
     job.zone_subspace = cluster_db.ZoneSubspace(job.zone_name);
     job.leased.item = before;
-    job.leased.item.lease_id = lease_id;
+    job.leased.item.lease_id = chain.lease_id;
     job.leased.item.vesting_time =
         quick_->clock()->NowMillis() + config_.pointer_lease_millis;
-    job.leased.lease_id = lease_id;
+    job.leased.lease_id = chain.lease_id;
+    job.mode = mode;
     const int64_t latency_ms =
         quick_->clock()->NowMillis() - before.enqueue_time;
     stats_.item_latency_micros.Record(latency_ms * 1000);
     stats_.items_dequeued.Increment();
     quick_->tenant_metrics()->OnDequeued(cluster_db.id, 1);
-    DispatchWorkerJob(std::move(job), inline_processing);
-    return Status::OK();
-  }();
-  UnmarkInFlight(key);
-  return st;
+    DispatchWorkerJob(std::move(job));
+    EndChain(chain, Status::OK());
+  }
 }
 
-Status Consumer::HandlePointer(const std::string& cluster_name,
-                               const ck::QueuedItem& pointer_item,
-                               const std::string& lease_id,
-                               bool inline_processing) {
-  fdb::Database* cluster = Cluster(cluster_name);
-  Result<Pointer> pointer = Pointer::FromItem(pointer_item);
+void Consumer::HandlePointer(TopChain chain) {
+  Result<Pointer> pointer = Pointer::FromItem(chain.pointer);
   if (!pointer.ok()) {
     // Corrupt pointer: move it out of the queue rather than blocking it
     // (§2 "Operations and monitoring") — into the top-level zone's
     // dead-letter quarantine, not the void, so operators can inspect it.
     const ck::DatabaseRef cluster_db =
-        quick_->cloudkit()->OpenClusterDb(cluster_name);
-    bool fenced = false;
-    Status st = fdb::RunTransaction(cluster, [&](fdb::Transaction& txn) {
-      ck::QueueZone top_zone =
-          quick_->OpenTopZoneFor(cluster_db, pointer_item.id, &txn);
-      Status c = top_zone.Quarantine(pointer_item.id, lease_id,
-                                     "corrupt_pointer",
-                                     pointer.status().message());
-      if (c.IsNotFound() || c.IsLeaseLost()) {
-        fenced = true;
-        return Status::OK();
-      }
-      fenced = false;
-      return c;
-    });
-    QUICK_RETURN_IF_ERROR(st);
-    if (fenced) {
-      stats_.terminal_fenced.Increment();
-      hooks_.Mark(pointer_item.id, stage::kFenced, "corrupt_pointer");
-      return Status::OK();
-    }
-    stats_.items_quarantined.Increment();
-    MetricsRegistry::Default()->GetCounter("quick.deadletter.quarantined")
-        ->Increment();
-    hooks_.Mark(pointer_item.id, stage::kQuarantined, "corrupt_pointer");
-    return Status::OK();
+        quick_->cloudkit()->OpenClusterDb(chain.cluster);
+    auto fenced = std::make_shared<bool>(false);
+    RunStep(
+        chain.mode, chain.cluster,
+        [this, cluster_db, chain, fenced,
+         why = pointer.status().message()](fdb::Transaction& txn) {
+          ck::QueueZone top_zone =
+              quick_->OpenTopZoneFor(cluster_db, chain.pointer.id, &txn);
+          return Fenced(top_zone.Quarantine(chain.pointer.id, chain.lease_id,
+                                            "corrupt_pointer", why),
+                        fenced.get());
+        },
+        [this, chain, fenced](const Status& st) {
+          if (st.ok() && *fenced) {
+            stats_.terminal_fenced.Increment();
+            hooks_.Mark(chain.pointer.id, stage::kFenced, "corrupt_pointer");
+          } else if (st.ok()) {
+            stats_.items_quarantined.Increment();
+            MetricsRegistry::Default()
+                ->GetCounter("quick.deadletter.quarantined")
+                ->Increment();
+            hooks_.Mark(chain.pointer.id, stage::kQuarantined,
+                        "corrupt_pointer");
+          }
+          EndChain(chain, st);
+        });
+    return;
   }
 
-  // The zone lives on this cluster under the database's (cluster-
-  // independent) prefix; placement is irrelevant here, which is what lets
-  // stale pointers at a migration source resolve harmlessly.
-  const tup::Subspace zone_subspace =
-      ck::CloudKitService::DatabaseSubspace(pointer->db_id)
-          .Sub("z")
-          .Sub(pointer->zone);
-
   // Batch-dequeue up to dequeue_max items (Alg. 2 step ii).
-  std::vector<ck::LeasedItem> items;
-  std::optional<int64_t> min_vesting;
+  const tup::Subspace zone_subspace = ZoneSubspaceOf(*pointer);
+  auto deq = std::make_shared<Dequeued>();
   const int64_t deq_start = quick_->clock()->NowMicros();
-  Status st = fdb::RunTransaction(cluster, [&](fdb::Transaction& txn) {
-    items.clear();
-    min_vesting = std::nullopt;
-    // Migration fence, mirror of the enqueue-side read: when the tenant
-    // is sealed mid-move, dequeue nothing. The strong read means a dequeue
-    // racing the seal transaction conflicts with its write and retries
-    // into seeing the fence — so after the seal commits, no dequeue can
-    // take items out of the source zone (the balancer's final copy relies
-    // on this quiescence).
-    QUICK_ASSIGN_OR_RETURN(
-        std::optional<std::string> fence,
-        txn.Get(ck::MoveState::Key(pointer->db_id)));
-    if (fence.has_value()) {
-      std::optional<ck::MoveState> state = ck::MoveState::Decode(*fence);
-      if (state.has_value() && state->FencesEnqueues()) return Status::OK();
-    }
-    ck::QueueZone zone(&txn, zone_subspace, quick_->clock(),
-                       config_.fifo_tenant_zones);
-    if (config_.fifo_tenant_zones) {
-      QUICK_ASSIGN_OR_RETURN(items,
-                             zone.DequeueFifo(config_.dequeue_max,
-                                              config_.item_lease_millis));
-    } else {
-      QUICK_ASSIGN_OR_RETURN(
-          items,
-          zone.Dequeue(config_.dequeue_max, config_.item_lease_millis));
-    }
-    QUICK_ASSIGN_OR_RETURN(min_vesting, zone.MinVestingTime());
-    return Status::OK();
-  });
-  const int64_t deq_end = quick_->clock()->NowMicros();
-  stats_.dequeue_txn_micros.Record(deq_end - deq_start);
-  health_.Observe(cluster_name, st);
-  QUICK_RETURN_IF_ERROR(st);
-  // Crash chaos: the process "died" after dequeuing — item and pointer
-  // leases are abandoned and must be recovered by another consumer.
-  if (crashed_.load()) return Status::OK();
+  RunStep(
+      chain.mode, chain.cluster,
+      [this, deq, db_id = pointer->db_id,
+       zone_subspace](fdb::Transaction& txn) {
+        return DequeueBody(txn, db_id, zone_subspace, deq.get());
+      },
+      [this, chain, deq, pointer = *pointer, zone_subspace,
+       deq_start](const Status& st) {
+        const int64_t deq_end = quick_->clock()->NowMicros();
+        stats_.dequeue_txn_micros.Record(deq_end - deq_start);
+        health_.Observe(chain.cluster, st);
+        // Dequeue failed, or the process "died" after dequeuing: item and
+        // pointer leases are abandoned and expire — another consumer takes
+        // over (§5).
+        if (!st.ok() || crashed_.load()) {
+          EndChain(chain, st);
+          return;
+        }
+        const bool found_items = !deq->items.empty();
+        DispatchDequeued(chain, pointer, std::move(deq->items), deq_start,
+                         deq_end, "");
+        RequeueOrGcPointer(chain, found_items, deq->min_vesting, zone_subspace);
+      });
+}
 
+void Consumer::HandlePointerItemLevel(TopChain chain) {
+  // Ablation A1: every consumer that selected this pointer dequeues from
+  // the zone directly; leases are taken per item, so consumers contend on
+  // item records (one wins per item, the rest abort at commit).
+  Result<Pointer> pointer = Pointer::FromItem(chain.pointer);
+  if (!pointer.ok()) {
+    EndChain(chain, pointer.status());
+    return;
+  }
+  const tup::Subspace zone_subspace = ZoneSubspaceOf(*pointer);
+  auto txn = std::make_shared<fdb::Transaction>(
+      Cluster(chain.cluster)->CreateTransaction(PeekOptions()));
+  auto deq = std::make_shared<Dequeued>();
+  const int64_t deq_start = quick_->clock()->NowMicros();
+  Status body = DequeueBody(*txn, pointer->db_id, zone_subspace, deq.get());
+  if (!body.ok()) {
+    EndChain(chain, body);
+    return;
+  }
+  CommitOnce(
+      chain.mode, txn,
+      [this, chain, deq, pointer = *pointer, zone_subspace,
+       deq_start](const Status& commit) {
+        const int64_t deq_end = quick_->clock()->NowMicros();
+        stats_.dequeue_txn_micros.Record(deq_end - deq_start);
+        if (commit.IsNotCommitted()) {
+          stats_.lease_collisions_commit.Increment();
+          EndChain(chain, Status::OK());
+          return;
+        }
+        if (!commit.ok()) {
+          EndChain(chain, commit);
+          return;
+        }
+        const bool found_items = !deq->items.empty();
+        if (!found_items && deq->min_vesting.has_value()) {
+          stats_.lease_collisions_read.Increment();  // everything leased away
+        }
+        DispatchDequeued(chain, pointer, std::move(deq->items), deq_start,
+                         deq_end, "item_level ");
+        // Pointer maintenance without a lease: requeue if active, GC when
+        // cold.
+        RequeueOrGcPointer(chain, found_items, deq->min_vesting, zone_subspace);
+      });
+}
+
+Status Consumer::DequeueBody(fdb::Transaction& txn, const ck::DatabaseId& db_id,
+                             const tup::Subspace& zone_subspace,
+                             Dequeued* out) {
+  out->items.clear();
+  out->min_vesting = std::nullopt;
+  // Migration fence, mirror of the enqueue-side read: when the tenant is
+  // sealed mid-move, dequeue nothing. The strong read means a dequeue
+  // racing the seal transaction conflicts with its write and retries into
+  // seeing the fence — so after the seal commits, no dequeue can take
+  // items out of the source zone (the balancer's final copy relies on this
+  // quiescence).
+  QUICK_ASSIGN_OR_RETURN(std::optional<std::string> fence,
+                         txn.Get(ck::MoveState::Key(db_id)));
+  if (fence.has_value()) {
+    std::optional<ck::MoveState> state = ck::MoveState::Decode(*fence);
+    if (state.has_value() && state->FencesEnqueues()) return Status::OK();
+  }
+  ck::QueueZone zone(&txn, zone_subspace, quick_->clock(),
+                     config_.fifo_tenant_zones);
+  QUICK_ASSIGN_OR_RETURN(
+      out->items,
+      config_.fifo_tenant_zones
+          ? zone.DequeueFifo(config_.dequeue_max, config_.item_lease_millis)
+          : zone.Dequeue(config_.dequeue_max, config_.item_lease_millis));
+  QUICK_ASSIGN_OR_RETURN(out->min_vesting, zone.MinVestingTime());
+  return Status::OK();
+}
+
+void Consumer::DispatchDequeued(const TopChain& chain, const Pointer& pointer,
+                                std::vector<ck::LeasedItem> items,
+                                int64_t deq_start, int64_t deq_end,
+                                const std::string& detail) {
   const int64_t now = quick_->clock()->NowMillis();
+  const tup::Subspace zone_subspace = ZoneSubspaceOf(pointer);
   if (!items.empty()) {
-    quick_->tenant_metrics()->OnDequeued(pointer->db_id,
+    quick_->tenant_metrics()->OnDequeued(pointer.db_id,
                                          static_cast<int64_t>(items.size()));
   }
   for (ck::LeasedItem& li : items) {
     stats_.items_dequeued.Increment();
     stats_.item_latency_micros.Record((now - li.item.enqueue_time) * 1000);
     hooks_.Record(li.item.id, stage::kDequeued, deq_start, deq_end,
-                  "batch=" + std::to_string(items.size()),
-                  /*parent=*/pointer_item.id);
+                  detail + "batch=" + std::to_string(items.size()),
+                  /*parent=*/chain.pointer.id);
     WorkerJob job;
-    job.cluster = cluster_name;
-    job.db_id = pointer->db_id;
-    job.zone_name = pointer->zone;
+    job.cluster = chain.cluster;
+    job.db_id = pointer.db_id;
+    job.zone_name = pointer.zone;
     job.zone_subspace = zone_subspace;
     job.fifo_zone = config_.fifo_tenant_zones;
     job.leased = std::move(li);
-    DispatchWorkerJob(std::move(job), inline_processing);
+    job.mode = chain.mode;
+    DispatchWorkerJob(std::move(job));
   }
-
-  return RequeueOrGcPointer(cluster_name, pointer_item, lease_id,
-                            !items.empty(), min_vesting, zone_subspace);
 }
 
-Status Consumer::RequeueOrGcPointer(const std::string& cluster_name,
-                                    const ck::QueuedItem& pointer_item,
-                                    const std::string& lease_id,
-                                    bool found_items,
-                                    std::optional<int64_t> min_vesting,
-                                    const tup::Subspace& zone_subspace) {
-  if (crashed_.load()) return Status::OK();  // pointer lease abandoned
-  fdb::Database* cluster = Cluster(cluster_name);
+void Consumer::RequeueOrGcPointer(const TopChain& chain, bool found_items,
+                                  std::optional<int64_t> min_vesting,
+                                  const tup::Subspace& zone_subspace) {
+  if (crashed_.load()) {  // pointer lease abandoned
+    EndChain(chain, Status::OK());
+    return;
+  }
   const ck::DatabaseRef cluster_db =
-      quick_->cloudkit()->OpenClusterDb(cluster_name);
-  const bool is_active = found_items || min_vesting.has_value();
+      quick_->cloudkit()->OpenClusterDb(chain.cluster);
   const int64_t now = quick_->clock()->NowMillis();
 
-  if (is_active) {
+  if (found_items || min_vesting.has_value()) {
     // Requeue so the pointer reappears when the earliest remaining item
-    // vests (water-filling: long queues come back immediately).
-    int64_t delay = 0;
-    Status st = fdb::RunTransaction(cluster, [&](fdb::Transaction& txn) {
-      ck::QueueZone top_zone =
-          quick_->OpenTopZoneFor(cluster_db, pointer_item.id, &txn);
-      QUICK_ASSIGN_OR_RETURN(std::optional<ck::QueuedItem> loaded,
-                             top_zone.Load(pointer_item.id));
-      if (!loaded.has_value()) return Status::OK();
-      if (loaded->lease_id != lease_id) return Status::OK();  // superseded
-      // Re-read the earliest vesting time here rather than trusting the
-      // dequeue-time snapshot: finish transactions enqueue continuations
-      // into this zone after that snapshot, and the enqueue-side pointer
-      // fix-up skips leased pointers — this consumer holds the lease — so
-      // the stale value would park an already-vested continuation behind
-      // a full item lease.
-      ck::QueueZone zone(&txn, zone_subspace, quick_->clock(),
-                         config_.fifo_tenant_zones);
-      QUICK_ASSIGN_OR_RETURN(std::optional<int64_t> fresh,
-                             zone.MinVestingTime());
-      const std::optional<int64_t>& effective =
-          fresh.has_value() ? fresh : min_vesting;
-      const int64_t tnow = quick_->clock()->NowMillis();
-      delay = effective.has_value() ? std::max<int64_t>(0, *effective - tnow)
-                                    : 0;
-      ck::QueuedItem updated = *std::move(loaded);
-      updated.vesting_time = tnow + delay;
-      updated.lease_id.clear();
-      updated.last_active_time = tnow;
-      return top_zone.SaveItem(updated);
-    });
-    if (st.ok()) {
-      stats_.pointers_requeued.Increment();
-      hooks_.Mark(pointer_item.id, stage::kRequeued,
-                  "pointer delay_ms=" + std::to_string(delay));
-    }
-    return st;
+    // vests (water-filling: long queues come back immediately). Shared so
+    // the trace reports the delay the committed attempt actually chose.
+    auto delay = std::make_shared<int64_t>(0);
+    RunStep(
+        chain.mode, chain.cluster,
+        [this, chain, cluster_db, min_vesting, zone_subspace,
+         delay](fdb::Transaction& txn) {
+          ck::QueueZone top_zone =
+              quick_->OpenTopZoneFor(cluster_db, chain.pointer.id, &txn);
+          QUICK_ASSIGN_OR_RETURN(std::optional<ck::QueuedItem> loaded,
+                                 top_zone.Load(chain.pointer.id));
+          if (!loaded.has_value()) return Status::OK();
+          if (loaded->lease_id != chain.lease_id) {
+            return Status::OK();  // superseded
+          }
+          // Re-read the earliest vesting time here rather than trusting the
+          // dequeue-time snapshot: finish transactions enqueue
+          // continuations into this zone after that snapshot, and the
+          // enqueue-side pointer fix-up skips leased pointers — this
+          // consumer holds the lease — so the stale value would park an
+          // already-vested continuation behind a full item lease.
+          ck::QueueZone zone(&txn, zone_subspace, quick_->clock(),
+                             config_.fifo_tenant_zones);
+          QUICK_ASSIGN_OR_RETURN(std::optional<int64_t> fresh,
+                                 zone.MinVestingTime());
+          const std::optional<int64_t>& effective =
+              fresh.has_value() ? fresh : min_vesting;
+          const int64_t tnow = quick_->clock()->NowMillis();
+          *delay = effective.has_value()
+                       ? std::max<int64_t>(0, *effective - tnow)
+                       : 0;
+          ck::QueuedItem updated = *std::move(loaded);
+          updated.vesting_time = tnow + *delay;
+          updated.lease_id.clear();
+          updated.last_active_time = tnow;
+          return top_zone.SaveItem(updated);
+        },
+        [this, chain, delay](const Status& st) {
+          if (st.ok()) {
+            stats_.pointers_requeued.Increment();
+            hooks_.Mark(chain.pointer.id, stage::kRequeued,
+                        "pointer delay_ms=" + std::to_string(*delay));
+          }
+          EndChain(chain, st);
+        });
+    return;
   }
 
   // Queue observed empty.
-  if (now - pointer_item.last_active_time < config_.min_inactive_millis) {
+  if (now - chain.pointer.last_active_time < config_.min_inactive_millis) {
     // Within the GC grace period: do nothing; the pointer re-vests when the
     // lease expires, and a cheap enqueue can reuse it meanwhile (§6
     // "Pointer garbage-collection").
-    return Status::OK();
+    EndChain(chain, Status::OK());
+    return;
   }
 
   // Delete the pointer — transactionally with a strong emptiness check of
   // the queue zone, so a racing enqueue aborts this transaction (§6
   // "Correctness").
-  fdb::Transaction txn = cluster->CreateTransaction();
-  ck::QueueZone zone(&txn, zone_subspace, quick_->clock(),
+  auto txn = std::make_shared<fdb::Transaction>(
+      Cluster(chain.cluster)->CreateTransaction());
+  ck::QueueZone zone(txn.get(), zone_subspace, quick_->clock(),
                      config_.fifo_tenant_zones);
   Result<bool> empty = zone.IsEmpty();
-  QUICK_RETURN_IF_ERROR(empty.status());
-  if (!*empty) {
-    stats_.pointer_gc_aborted.Increment();
-    return Status::OK();  // item arrived; pointer stays
+  if (!empty.ok() || !*empty) {
+    if (empty.ok()) stats_.pointer_gc_aborted.Increment();  // item arrived
+    EndChain(chain, empty.status());
+    return;
   }
   ck::QueueZone top_zone =
-      quick_->OpenTopZoneFor(cluster_db, pointer_item.id, &txn);
-  Status st = top_zone.Complete(pointer_item.id, lease_id);
-  if (st.IsNotFound() || st.IsLeaseLost()) return Status::OK();
-  QUICK_RETURN_IF_ERROR(st);
-  Status commit = txn.Commit();
-  if (commit.IsNotCommitted()) {
-    stats_.pointer_gc_aborted.Increment();
-    return Status::OK();
+      quick_->OpenTopZoneFor(cluster_db, chain.pointer.id, txn.get());
+  bool superseded = false;
+  Status st =
+      Fenced(top_zone.Complete(chain.pointer.id, chain.lease_id), &superseded);
+  if (!st.ok() || superseded) {
+    EndChain(chain, st);
+    return;
   }
-  if (commit.ok()) {
-    stats_.pointers_deleted.Increment();
-    hooks_.Mark(pointer_item.id, stage::kCompleted, "gc");
-  }
-  return commit;
+  CommitOnce(chain.mode, txn, [this, chain](const Status& commit) {
+    if (commit.IsNotCommitted()) {
+      stats_.pointer_gc_aborted.Increment();
+      EndChain(chain, Status::OK());
+      return;
+    }
+    if (commit.ok()) {
+      stats_.pointers_deleted.Increment();
+      hooks_.Mark(chain.pointer.id, stage::kCompleted, "gc");
+    }
+    EndChain(chain, commit);
+  });
 }
 
-Status Consumer::HandlePointerItemLevel(const std::string& cluster_name,
-                                        const ck::QueuedItem& pointer_item,
-                                        bool inline_processing) {
-  // Ablation A1: every consumer that selected this pointer dequeues from
-  // the zone directly; leases are taken per item, so consumers contend on
-  // item records (one wins per item, the rest abort at commit).
-  fdb::Database* cluster = Cluster(cluster_name);
-  Result<Pointer> pointer = Pointer::FromItem(pointer_item);
-  QUICK_RETURN_IF_ERROR(pointer.status());
-  const tup::Subspace zone_subspace =
-      ck::CloudKitService::DatabaseSubspace(pointer->db_id)
-          .Sub("z")
-          .Sub(pointer->zone);
-
-  std::vector<ck::LeasedItem> items;
-  std::optional<int64_t> min_vesting;
-  const int64_t deq_start = quick_->clock()->NowMicros();
-  {
-    stats_.pointer_lease_attempts.Increment();
-    fdb::Transaction txn = cluster->CreateTransaction(PeekOptions());
-    // Same migration fence as HandlePointer's dequeue transaction.
-    Result<std::optional<std::string>> fence =
-        txn.Get(ck::MoveState::Key(pointer->db_id));
-    QUICK_RETURN_IF_ERROR(fence.status());
-    if (fence->has_value()) {
-      std::optional<ck::MoveState> state = ck::MoveState::Decode(**fence);
-      if (state.has_value() && state->FencesEnqueues()) return Status::OK();
-    }
-    ck::QueueZone zone(&txn, zone_subspace, quick_->clock(),
-                       config_.fifo_tenant_zones);
-    Result<std::vector<ck::LeasedItem>> deq =
-        zone.Dequeue(config_.dequeue_max, config_.item_lease_millis);
-    QUICK_RETURN_IF_ERROR(deq.status());
-    Result<std::optional<int64_t>> mv = zone.MinVestingTime();
-    QUICK_RETURN_IF_ERROR(mv.status());
-    Status commit = txn.Commit();
-    stats_.dequeue_txn_micros.Record(quick_->clock()->NowMicros() - deq_start);
-    if (commit.IsNotCommitted()) {
-      stats_.lease_collisions_commit.Increment();
-      return Status::OK();
-    }
-    QUICK_RETURN_IF_ERROR(commit);
-    items = *std::move(deq);
-    min_vesting = *mv;
-    if (items.empty() && min_vesting.has_value()) {
-      stats_.lease_collisions_read.Increment();  // everything leased away
-    }
-  }
-
-  const int64_t now = quick_->clock()->NowMillis();
-  const int64_t deq_end = quick_->clock()->NowMicros();
-  if (!items.empty()) {
-    quick_->tenant_metrics()->OnDequeued(pointer->db_id,
-                                         static_cast<int64_t>(items.size()));
-  }
-  for (ck::LeasedItem& li : items) {
-    stats_.items_dequeued.Increment();
-    stats_.item_latency_micros.Record((now - li.item.enqueue_time) * 1000);
-    hooks_.Record(li.item.id, stage::kDequeued, deq_start, deq_end,
-                  "item_level batch=" + std::to_string(items.size()),
-                  /*parent=*/pointer_item.id);
-    WorkerJob job;
-    job.cluster = cluster_name;
-    job.db_id = pointer->db_id;
-    job.zone_name = pointer->zone;
-    job.zone_subspace = zone_subspace;
-    job.leased = std::move(li);
-    DispatchWorkerJob(std::move(job), inline_processing);
-  }
-
-  // Pointer maintenance without a lease: requeue if active, GC when cold.
-  return RequeueOrGcPointer(cluster_name, pointer_item, pointer_item.lease_id,
-                            !items.empty(), min_vesting, zone_subspace);
+void Consumer::EndChain(const TopChain& chain, const Status& st) {
+  UnmarkInFlight(InFlightKey(chain.cluster, chain.pointer.id));
+  if (chain.result != nullptr && !st.ok()) *chain.result = st;
 }
 
 // ---------------------------------------------------------------------------
 // Algorithm 3: Worker.
 // ---------------------------------------------------------------------------
 
-void Consumer::DispatchWorkerJob(WorkerJob job, bool inline_processing) {
+void Consumer::DispatchWorkerJob(WorkerJob job) {
   job.entry = registry_->Find(job.leased.item.job_type);
   job.lease_lost = std::make_shared<std::atomic<bool>>(false);
 
@@ -1256,41 +904,14 @@ void Consumer::DispatchWorkerJob(WorkerJob job, bool inline_processing) {
   // dropped here — a shed verdict also requeues (the item exists; only a
   // producer-side shed refuses outright) — so the item re-vests after the
   // gate's retry-after hint and any consumer picks it up again.
-  // Pushes an already-dequeued item back (admission / throttle verdicts):
-  // blocking in sync mode, a window transaction in async mode so the
-  // executor thread issuing the dispatch is never parked on a commit.
-  auto requeue_back = [this, &job](int64_t delay, std::string why) {
-    fdb::Database* cluster = Cluster(job.cluster);
-    auto body = [this, zone_subspace = job.zone_subspace,
-                 fifo = job.fifo_zone, item_id = job.leased.item.id,
-                 lease = job.leased.lease_id, delay](fdb::Transaction& txn) {
-      ck::QueueZone zone(&txn, zone_subspace, quick_->clock(), fifo);
-      Status s = zone.Requeue(item_id, delay,
-                              /*increment_error_count=*/false, lease);
-      return s.IsNotFound() || s.IsLeaseLost() ? Status::OK() : s;
-    };
-    if (job.async_finish && AsyncMode()) {
-      BeginTxn();
-      fdb::RunTransactionAsync(cluster, body, exec_.get(), cancel_)
-          .OnReady([this, item_id = job.leased.item.id,
-                    why = std::move(why)](const Status& st) {
-            if (st.ok()) hooks_.Mark(item_id, stage::kRequeued, why);
-            EndTxn();
-          });
-      return;
-    }
-    Status st = fdb::RunTransaction(cluster, body);
-    if (st.ok()) hooks_.Mark(job.leased.item.id, stage::kRequeued, why);
-  };
-
   if (quick_->admission() != nullptr) {
     const AdmissionDecision d =
         quick_->admission()->AdmitDispatch(job.db_id, job.cluster, 1);
     if (!d.admitted()) {
       stats_.items_dispatch_throttled.Increment();
       const int64_t delay = std::max<int64_t>(0, d.retry_after_millis);
-      requeue_back(delay, std::string("admission level=") + d.level +
-                              " delay_ms=" + std::to_string(delay));
+      RequeueBack(job, delay, std::string("admission level=") + d.level +
+                                  " delay_ms=" + std::to_string(delay));
       return;
     }
   }
@@ -1301,13 +922,13 @@ void Consumer::DispatchWorkerJob(WorkerJob job, bool inline_processing) {
                             job.entry->policy.max_concurrent)) {
       stats_.items_throttled.Increment();
       // Release the lease so any consumer can pick the item up again.
-      requeue_back(0, "throttle");
+      RequeueBack(job, 0, "throttle");
       return;
     }
     job.throttle_held = true;
   }
 
-  if (inline_processing || worker_queue_ == nullptr) {
+  if (job.mode == ChainMode::kInline) {
     ProcessWorkItem(std::move(job));
     return;
   }
@@ -1316,6 +937,24 @@ void Consumer::DispatchWorkerJob(WorkerJob job, bool inline_processing) {
   if (!worker_queue_->Push(std::move(job)) && throttled) {
     ReleaseThrottle(job_type);  // shutting down
   }
+}
+
+void Consumer::RequeueBack(const WorkerJob& job, int64_t delay,
+                           std::string why) {
+  RunStep(
+      job.mode, job.cluster,
+      [this, zone_subspace = job.zone_subspace, fifo = job.fifo_zone,
+       item_id = job.leased.item.id, lease = job.leased.lease_id,
+       delay](fdb::Transaction& txn) {
+        ck::QueueZone zone(&txn, zone_subspace, quick_->clock(), fifo);
+        Status s = zone.Requeue(item_id, delay,
+                                /*increment_error_count=*/false, lease);
+        return s.IsNotFound() || s.IsLeaseLost() ? Status::OK() : s;
+      },
+      [this, item_id = job.leased.item.id,
+       why = std::move(why)](const Status& st) {
+        if (st.ok()) hooks_.Mark(item_id, stage::kRequeued, why);
+      });
 }
 
 void Consumer::ProcessWorkItem(WorkerJob job) {
@@ -1383,13 +1022,7 @@ void Consumer::ProcessWorkItem(WorkerJob job) {
   }
 
   if (job.throttle_held) ReleaseThrottle(job.leased.item.job_type);
-  if (job.async_finish && AsyncMode()) {
-    // Hand the finish commit to the in-flight window; this worker thread
-    // is free for the next item while the transition is in flight.
-    AsyncFinishItem(std::move(job), final_status);
-    return;
-  }
-  (void)FinishItem(job, final_status);
+  FinishItem(std::move(job), final_status);
 }
 
 void Consumer::RaiseAlert(Alert::Kind kind, const WorkerJob& job,
@@ -1496,251 +1129,36 @@ void Consumer::AfterResultExtras(
   }
 }
 
-Status Consumer::FinishItem(const WorkerJob& job, const Status& final_status) {
+void Consumer::FinishItem(WorkerJob job, const Status& final_status) {
   // Crash chaos: completion never lands; the item's lease expires and
   // another consumer re-executes it (at-least-once, §5).
-  if (crashed_.load()) return Status::OK();
+  if (crashed_.load()) return;
   if (!final_status.ok()) {
     quick_->tenant_metrics()->OnError(job.db_id, 1);
   }
-  fdb::Database* cluster = Cluster(job.cluster);
-  const bool is_local =
-      StartsWith(job.zone_name, quick_->config().top_zone_name);
+  auto jp = std::make_shared<const WorkerJob>(std::move(job));
 
   if (final_status.ok()) {
-    bool fenced = false;
-    std::vector<EnqueueFollowUp> follow_ups;
-    std::vector<std::string> continuation_ids;
-    const int64_t fin_start = quick_->clock()->NowMicros();
-    Status st = fdb::RunTransaction(cluster, [&](fdb::Transaction& txn) {
-      ck::QueueZone zone(&txn, job.zone_subspace, quick_->clock(),
-                         job.fifo_zone);
-      Status c = zone.Complete(job.leased.item.id, job.leased.lease_id);
-      if (c.IsNotFound() || c.IsLeaseLost()) {
-        fenced = true;  // someone else finished/retook it
-        return Status::OK();
-      }
-      fenced = false;
-      QUICK_RETURN_IF_ERROR(c);
-      // Gray's queued-transaction pattern: continuation enqueues, outbox
-      // rows, and the handler's hook commit WITH the Complete — a fenced
-      // transition applies none of them (the retaking consumer's finish
-      // will).
-      if (HasExtras(job.result)) {
-        return ApplyResultExtras(txn, job, job.result, &follow_ups,
-                                 &continuation_ids);
-      }
-      return Status::OK();
-    });
-    const int64_t fin_end = quick_->clock()->NowMicros();
-    stats_.finish_txn_micros.Record(fin_end - fin_start);
-    health_.Observe(job.cluster, st);
-    QUICK_RETURN_IF_ERROR(st);
-    if (fenced) {
-      stats_.leases_lost.Increment();
-      stats_.terminal_fenced.Increment();
-      hooks_.Record(job.leased.item.id, stage::kFenced, fin_start, fin_end,
-                    "complete");
-      return Status::OK();
-    }
-    stats_.items_processed.Increment();
-    if (is_local) stats_.local_items_processed.Increment();
-    hooks_.Record(job.leased.item.id, stage::kCompleted, fin_start, fin_end,
-                  is_local ? "local" : "");
-    AfterResultExtras(job, job.result, follow_ups, continuation_ids);
-    return st;
-  }
-
-  // Terminal failures — permanent errors (§6: never retried) and exhausted
-  // attempt budgets — leave the queue through one fenced transition.
-  const RetryPolicy policy =
-      job.entry != nullptr ? job.entry->policy : RetryPolicy{};
-  const int64_t next_error_count = job.leased.item.error_count + 1;
-  const bool exhausted = policy.max_attempts > 0 &&
-                         next_error_count >= policy.max_attempts &&
-                         policy.drop_on_exhaust;
-  if (final_status.IsPermanent() || exhausted) {
-    return FinishTerminalFailure(job, final_status, policy);
-  }
-
-  // Transient failure: requeue with exponential backoff on the error
-  // count. Fenced like every other transition out of processing — a
-  // zombie's requeue must not clear a lease another consumer now holds.
-  if (policy.alert_after_errors > 0 &&
-      next_error_count >= policy.alert_after_errors) {
-    RaiseAlert(Alert::Kind::kRepeatedFailures, job, next_error_count,
-               final_status.message());
-  }
-  const int64_t delay =
-      policy.BackoffForErrorCount(job.leased.item.error_count);
-  bool fenced = false;
-  const int64_t fin_start = quick_->clock()->NowMicros();
-  Status st = fdb::RunTransaction(cluster, [&](fdb::Transaction& txn) {
-    ck::QueueZone zone(&txn, job.zone_subspace, quick_->clock(),
-                       job.fifo_zone);
-    Status c = zone.Requeue(job.leased.item.id, delay,
-                            /*increment_error_count=*/true,
-                            job.leased.lease_id);
-    if (c.IsNotFound() || c.IsLeaseLost()) {
-      fenced = true;
-      return Status::OK();
-    }
-    fenced = false;
-    return c;
-  });
-  const int64_t fin_end = quick_->clock()->NowMicros();
-  stats_.finish_txn_micros.Record(fin_end - fin_start);
-  QUICK_RETURN_IF_ERROR(st);
-  if (fenced) {
-    stats_.leases_lost.Increment();
-    stats_.terminal_fenced.Increment();
-    hooks_.Record(job.leased.item.id, stage::kFenced, fin_start, fin_end,
-                  "requeue");
-    return Status::OK();
-  }
-  stats_.items_requeued.Increment();
-  hooks_.Record(job.leased.item.id, stage::kRequeued, fin_start, fin_end,
-                "delay_ms=" + std::to_string(delay) +
-                    " errors=" + std::to_string(next_error_count));
-  return st;
-}
-
-Status Consumer::FinishTerminalFailure(const WorkerJob& job,
-                                       const Status& final_status,
-                                       const RetryPolicy& policy) {
-  fdb::Database* cluster = Cluster(job.cluster);
-  const int64_t final_attempts = job.leased.item.error_count + 1;
-  const char* reason;
-  Alert::Kind legacy_kind;
-  if (!final_status.IsPermanent()) {
-    reason = "exhausted";
-    legacy_kind = Alert::Kind::kDroppedAfterExhaustion;
-  } else if (job.entry == nullptr) {
-    reason = "unknown_job_type";
-    legacy_kind = Alert::Kind::kUnknownJobType;
-  } else {
-    reason = "permanent";
-    legacy_kind = Alert::Kind::kPermanentFailure;
-  }
-
-  bool fenced = false;
-  std::vector<EnqueueFollowUp> follow_ups;
-  std::vector<std::string> continuation_ids;
-  const int64_t fin_start = quick_->clock()->NowMicros();
-  Status st = fdb::RunTransaction(cluster, [&](fdb::Transaction& txn) {
-    ck::QueueZone zone(&txn, job.zone_subspace, quick_->clock(),
-                       job.fifo_zone);
-    Status c = policy.quarantine_on_failure
-                   ? zone.Quarantine(job.leased.item.id, job.leased.lease_id,
-                                     reason, final_status.message())
-                   : zone.Complete(job.leased.item.id, job.leased.lease_id);
-    if (c.IsNotFound() || c.IsLeaseLost()) {
-      fenced = true;  // retaken by a live consumer, or already terminal
-      return Status::OK();
-    }
-    fenced = false;
-    QUICK_RETURN_IF_ERROR(c);
-    // The TerminalHandler's extras (compensation chain, record update)
-    // commit WITH the dead-lettering — the saga-rollback launch point.
-    if (HasExtras(job.terminal_result)) {
-      return ApplyResultExtras(txn, job, job.terminal_result, &follow_ups,
-                               &continuation_ids);
-    }
-    return Status::OK();
-  });
-  const int64_t fin_end = quick_->clock()->NowMicros();
-  stats_.finish_txn_micros.Record(fin_end - fin_start);
-  health_.Observe(job.cluster, st);
-  QUICK_RETURN_IF_ERROR(st);
-  if (fenced) {
-    stats_.leases_lost.Increment();
-    stats_.terminal_fenced.Increment();
-    hooks_.Record(job.leased.item.id, stage::kFenced, fin_start, fin_end,
-                  reason);
-    return Status::OK();
-  }
-  AfterResultExtras(job, job.terminal_result, follow_ups, continuation_ids);
-  if (policy.quarantine_on_failure) {
-    stats_.items_quarantined.Increment();
-    MetricsRegistry::Default()->GetCounter("quick.deadletter.quarantined")
-        ->Increment();
-    hooks_.Record(job.leased.item.id, stage::kQuarantined, fin_start, fin_end,
-                  reason);
-    RaiseAlert(Alert::Kind::kQuarantined, job, final_attempts,
-               std::string(reason) + ": " + final_status.message());
-  } else {
-    stats_.items_dropped_permanent.Increment();
-    MetricsRegistry::Default()->GetCounter("quick.deadletter.dropped_legacy")
-        ->Increment();
-    hooks_.Record(job.leased.item.id, stage::kDropped, fin_start, fin_end,
-                  reason);
-    RaiseAlert(legacy_kind, job, final_attempts, final_status.message());
-  }
-  return Status::OK();
-}
-
-void Consumer::AsyncFinishItem(WorkerJob job, const Status& final_status) {
-  // FinishItem's pipeline twin: same three transitions (complete, terminal
-  // failure, transient requeue), same lease fencing, but the commit holds
-  // a window slot instead of this thread.
-  if (crashed_.load()) return;  // completion never lands (§5)
-  if (!final_status.ok()) {
-    quick_->tenant_metrics()->OnError(job.db_id, 1);
-  }
-  fdb::Database* cluster = Cluster(job.cluster);
-  const bool is_local =
-      StartsWith(job.zone_name, quick_->config().top_zone_name);
-  auto jp = std::make_shared<WorkerJob>(std::move(job));
-  auto fenced = std::make_shared<bool>(false);
-  const int64_t fin_start = quick_->clock()->NowMicros();
-
-  if (final_status.ok()) {
-    auto follow_ups = std::make_shared<std::vector<EnqueueFollowUp>>();
-    auto cont_ids = std::make_shared<std::vector<std::string>>();
-    BeginTxn();
-    fdb::RunTransactionAsync(
-        cluster,
-        [this, jp, fenced, follow_ups, cont_ids](fdb::Transaction& txn) {
-          ck::QueueZone zone(&txn, jp->zone_subspace, quick_->clock(),
-                             jp->fifo_zone);
-          Status c = zone.Complete(jp->leased.item.id, jp->leased.lease_id);
-          if (c.IsNotFound() || c.IsLeaseLost()) {
-            *fenced = true;
-            return Status::OK();
-          }
-          *fenced = false;
-          QUICK_RETURN_IF_ERROR(c);
-          if (HasExtras(jp->result)) {
-            return ApplyResultExtras(txn, *jp, jp->result, follow_ups.get(),
-                                     cont_ids.get());
-          }
-          return Status::OK();
+    const bool is_local =
+        StartsWith(jp->zone_name, quick_->config().top_zone_name);
+    FinishStep(
+        jp, "complete", &jp->result, /*observe_health=*/true,
+        [jp](ck::QueueZone& zone) {
+          return zone.Complete(jp->leased.item.id, jp->leased.lease_id);
         },
-        exec_.get(), cancel_)
-        .OnReady([this, jp, fenced, follow_ups, cont_ids, fin_start,
-                  is_local](const Status& st) {
-          const int64_t fin_end = quick_->clock()->NowMicros();
-          stats_.finish_txn_micros.Record(fin_end - fin_start);
-          health_.Observe(jp->cluster, st);
-          if (st.ok()) {
-            if (*fenced) {
-              stats_.leases_lost.Increment();
-              stats_.terminal_fenced.Increment();
-              hooks_.Record(jp->leased.item.id, stage::kFenced, fin_start,
-                            fin_end, "complete");
-            } else {
-              stats_.items_processed.Increment();
-              if (is_local) stats_.local_items_processed.Increment();
-              hooks_.Record(jp->leased.item.id, stage::kCompleted, fin_start,
-                            fin_end, is_local ? "local" : "");
-              AfterResultExtras(*jp, jp->result, *follow_ups, *cont_ids);
-            }
-          }
-          EndTxn();
+        [this, jp, is_local](const FinishState& s) {
+          stats_.items_processed.Increment();
+          if (is_local) stats_.local_items_processed.Increment();
+          hooks_.Record(jp->leased.item.id, stage::kCompleted, s.start_micros,
+                        s.end_micros, is_local ? "local" : "");
+          AfterResultExtras(*jp, jp->result, s.follow_ups,
+                            s.continuation_ids);
         });
     return;
   }
 
+  // Terminal failures — permanent errors (§6: never retried) and exhausted
+  // attempt budgets — leave the queue through one fenced transition.
   const RetryPolicy policy =
       jp->entry != nullptr ? jp->entry->policy : RetryPolicy{};
   const int64_t next_error_count = jp->leased.item.error_count + 1;
@@ -1748,11 +1166,13 @@ void Consumer::AsyncFinishItem(WorkerJob job, const Status& final_status) {
                          next_error_count >= policy.max_attempts &&
                          policy.drop_on_exhaust;
   if (final_status.IsPermanent() || exhausted) {
-    AsyncFinishTerminalFailure(jp, final_status, policy);
+    FinishTerminalFailure(jp, final_status, policy);
     return;
   }
 
-  // Transient failure: fenced requeue with backoff.
+  // Transient failure: requeue with exponential backoff on the error
+  // count. Fenced like every other transition out of processing — a
+  // zombie's requeue must not clear a lease another consumer now holds.
   if (policy.alert_after_errors > 0 &&
       next_error_count >= policy.alert_after_errors) {
     RaiseAlert(Alert::Kind::kRepeatedFailures, *jp, next_error_count,
@@ -1760,131 +1180,113 @@ void Consumer::AsyncFinishItem(WorkerJob job, const Status& final_status) {
   }
   const int64_t delay =
       policy.BackoffForErrorCount(jp->leased.item.error_count);
-  BeginTxn();
-  fdb::RunTransactionAsync(
-      cluster,
-      [this, jp, fenced, delay](fdb::Transaction& txn) {
-        ck::QueueZone zone(&txn, jp->zone_subspace, quick_->clock(),
-                           jp->fifo_zone);
-        Status c = zone.Requeue(jp->leased.item.id, delay,
-                                /*increment_error_count=*/true,
-                                jp->leased.lease_id);
-        if (c.IsNotFound() || c.IsLeaseLost()) {
-          *fenced = true;
-          return Status::OK();
-        }
-        *fenced = false;
-        return c;
+  FinishStep(
+      jp, "requeue", /*extras=*/nullptr, /*observe_health=*/false,
+      [jp, delay](ck::QueueZone& zone) {
+        return zone.Requeue(jp->leased.item.id, delay,
+                            /*increment_error_count=*/true,
+                            jp->leased.lease_id);
       },
-      exec_.get(), cancel_)
-      .OnReady([this, jp, fenced, fin_start, delay,
-                next_error_count](const Status& st) {
-        const int64_t fin_end = quick_->clock()->NowMicros();
-        stats_.finish_txn_micros.Record(fin_end - fin_start);
-        if (st.ok()) {
-          if (*fenced) {
-            stats_.leases_lost.Increment();
-            stats_.terminal_fenced.Increment();
-            hooks_.Record(jp->leased.item.id, stage::kFenced, fin_start,
-                          fin_end, "requeue");
-          } else {
-            stats_.items_requeued.Increment();
-            hooks_.Record(jp->leased.item.id, stage::kRequeued, fin_start,
-                          fin_end,
-                          "delay_ms=" + std::to_string(delay) +
-                              " errors=" + std::to_string(next_error_count));
-          }
-        }
-        EndTxn();
+      [this, jp, delay, next_error_count](const FinishState& s) {
+        stats_.items_requeued.Increment();
+        hooks_.Record(jp->leased.item.id, stage::kRequeued, s.start_micros,
+                      s.end_micros,
+                      "delay_ms=" + std::to_string(delay) +
+                          " errors=" + std::to_string(next_error_count));
       });
 }
 
-void Consumer::AsyncFinishTerminalFailure(std::shared_ptr<WorkerJob> jp,
-                                          const Status& final_status,
-                                          const RetryPolicy& policy) {
-  fdb::Database* cluster = Cluster(jp->cluster);
-  const int64_t final_attempts = jp->leased.item.error_count + 1;
+void Consumer::FinishTerminalFailure(std::shared_ptr<const WorkerJob> job,
+                                     const Status& final_status,
+                                     const RetryPolicy& policy) {
+  const int64_t final_attempts = job->leased.item.error_count + 1;
   const char* reason;
   Alert::Kind legacy_kind;
   if (!final_status.IsPermanent()) {
     reason = "exhausted";
     legacy_kind = Alert::Kind::kDroppedAfterExhaustion;
-  } else if (jp->entry == nullptr) {
+  } else if (job->entry == nullptr) {
     reason = "unknown_job_type";
     legacy_kind = Alert::Kind::kUnknownJobType;
   } else {
     reason = "permanent";
     legacy_kind = Alert::Kind::kPermanentFailure;
   }
-
-  auto fenced = std::make_shared<bool>(false);
-  auto follow_ups = std::make_shared<std::vector<EnqueueFollowUp>>();
-  auto cont_ids = std::make_shared<std::vector<std::string>>();
-  const int64_t fin_start = quick_->clock()->NowMicros();
-  const std::string failure_msg = final_status.message();
   const bool quarantine = policy.quarantine_on_failure;
-  BeginTxn();
-  fdb::RunTransactionAsync(
-      cluster,
-      [this, jp, fenced, follow_ups, cont_ids, quarantine, reason,
-       failure_msg](fdb::Transaction& txn) {
-        ck::QueueZone zone(&txn, jp->zone_subspace, quick_->clock(),
-                           jp->fifo_zone);
-        Status c = quarantine
-                       ? zone.Quarantine(jp->leased.item.id,
-                                         jp->leased.lease_id, reason,
-                                         failure_msg)
-                       : zone.Complete(jp->leased.item.id,
-                                       jp->leased.lease_id);
-        if (c.IsNotFound() || c.IsLeaseLost()) {
-          *fenced = true;
+  const std::string why = final_status.message();
+  // The TerminalHandler's extras (compensation chain, record update)
+  // commit WITH the dead-lettering — the saga-rollback launch point.
+  FinishStep(
+      job, reason, &job->terminal_result, /*observe_health=*/true,
+      [job, quarantine, reason, why](ck::QueueZone& zone) {
+        return quarantine ? zone.Quarantine(job->leased.item.id,
+                                            job->leased.lease_id, reason, why)
+                          : zone.Complete(job->leased.item.id,
+                                          job->leased.lease_id);
+      },
+      [this, job, quarantine, reason, legacy_kind, final_attempts,
+       why](const FinishState& s) {
+        AfterResultExtras(*job, job->terminal_result, s.follow_ups,
+                          s.continuation_ids);
+        if (quarantine) {
+          stats_.items_quarantined.Increment();
+          MetricsRegistry::Default()
+              ->GetCounter("quick.deadletter.quarantined")
+              ->Increment();
+          hooks_.Record(job->leased.item.id, stage::kQuarantined,
+                        s.start_micros, s.end_micros, reason);
+          RaiseAlert(Alert::Kind::kQuarantined, *job, final_attempts,
+                     std::string(reason) + ": " + why);
+        } else {
+          stats_.items_dropped_permanent.Increment();
+          MetricsRegistry::Default()
+              ->GetCounter("quick.deadletter.dropped_legacy")
+              ->Increment();
+          hooks_.Record(job->leased.item.id, stage::kDropped, s.start_micros,
+                        s.end_micros, reason);
+          RaiseAlert(legacy_kind, *job, final_attempts, why);
+        }
+      });
+}
+
+void Consumer::FinishStep(std::shared_ptr<const WorkerJob> job,
+                          const char* what, const WorkResult* extras,
+                          bool observe_health,
+                          std::function<Status(ck::QueueZone&)> transition,
+                          std::function<void(const FinishState&)> done) {
+  auto state = std::make_shared<FinishState>();
+  state->start_micros = quick_->clock()->NowMicros();
+  RunStep(
+      job->mode, job->cluster,
+      [this, job, extras, state, transition](fdb::Transaction& txn) {
+        ck::QueueZone zone(&txn, job->zone_subspace, quick_->clock(),
+                           job->fifo_zone);
+        QUICK_RETURN_IF_ERROR(Fenced(transition(zone), &state->fenced));
+        // Gray's queued-transaction pattern: continuation enqueues, outbox
+        // rows, and the handler's hook commit WITH the transition — a
+        // fenced transition applies none of them (the retaking consumer's
+        // finish will).
+        if (state->fenced || extras == nullptr || !HasExtras(*extras)) {
           return Status::OK();
         }
-        *fenced = false;
-        QUICK_RETURN_IF_ERROR(c);
-        if (HasExtras(jp->terminal_result)) {
-          return ApplyResultExtras(txn, *jp, jp->terminal_result,
-                                   follow_ups.get(), cont_ids.get());
-        }
-        return Status::OK();
+        return ApplyResultExtras(txn, *job, *extras, &state->follow_ups,
+                                 &state->continuation_ids);
       },
-      exec_.get(), cancel_)
-      .OnReady([this, jp, fenced, follow_ups, cont_ids, fin_start, quarantine,
-                reason, legacy_kind, final_attempts,
-                failure_msg](const Status& st) {
-        const int64_t fin_end = quick_->clock()->NowMicros();
-        stats_.finish_txn_micros.Record(fin_end - fin_start);
-        health_.Observe(jp->cluster, st);
-        if (st.ok()) {
-          if (*fenced) {
-            stats_.leases_lost.Increment();
-            stats_.terminal_fenced.Increment();
-            hooks_.Record(jp->leased.item.id, stage::kFenced, fin_start,
-                          fin_end, reason);
-          } else if (quarantine) {
-            AfterResultExtras(*jp, jp->terminal_result, *follow_ups,
-                              *cont_ids);
-            stats_.items_quarantined.Increment();
-            MetricsRegistry::Default()
-                ->GetCounter("quick.deadletter.quarantined")
-                ->Increment();
-            hooks_.Record(jp->leased.item.id, stage::kQuarantined, fin_start,
-                          fin_end, reason);
-            RaiseAlert(Alert::Kind::kQuarantined, *jp, final_attempts,
-                       std::string(reason) + ": " + failure_msg);
-          } else {
-            AfterResultExtras(*jp, jp->terminal_result, *follow_ups,
-                              *cont_ids);
-            stats_.items_dropped_permanent.Increment();
-            MetricsRegistry::Default()
-                ->GetCounter("quick.deadletter.dropped_legacy")
-                ->Increment();
-            hooks_.Record(jp->leased.item.id, stage::kDropped, fin_start,
-                          fin_end, reason);
-            RaiseAlert(legacy_kind, *jp, final_attempts, failure_msg);
-          }
+      [this, job, what, observe_health, state,
+       done = std::move(done)](const Status& st) {
+        state->end_micros = quick_->clock()->NowMicros();
+        stats_.finish_txn_micros.Record(state->end_micros -
+                                        state->start_micros);
+        if (observe_health) health_.Observe(job->cluster, st);
+        if (!st.ok()) return;
+        if (state->fenced) {
+          stats_.leases_lost.Increment();
+          stats_.terminal_fenced.Increment();
+          hooks_.Record(job->leased.item.id, stage::kFenced,
+                        state->start_micros, state->end_micros, what);
+          return;
         }
-        EndTxn();
+        done(*state);
       });
 }
 

@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "quick/config.h"
 #include "quick/job_registry.h"
 #include "quick/lease_cache.h"
+#include "quick/pointer.h"
 #include "quick/quick.h"
 #include "quick/stats.h"
 #include "quick/trace_hooks.h"
@@ -33,18 +36,21 @@ namespace quick::core {
 /// lease extension and retry policies (Algorithm 3), and a lease-extender
 /// thread.
 ///
-/// Three driving modes:
-///  - Start()/Stop(): real threads, used by benchmarks and examples.
-///  - RunOnePass()/ProcessTopItem(): synchronous, single-threaded steps for
-///    deterministic tests (everything, including work items, runs inline on
-///    the calling thread).
-///  - Start() with config.async_pipeline: the Manager pool is replaced by a
-///    pipelined state machine (DESIGN.md §11). Pointer leases are batched
-///    across Q_C pointers per transaction, commits ride the cluster's async
-///    group-commit pipeline (Database::CommitAsync), and a bounded window
-///    of in-flight transaction chains — hundreds per consumer — overlaps
-///    the commit RTTs that the synchronous pipeline serializes. The
-///    Scanner applies backpressure when the window fills.
+/// Three driving modes run one chain of steps — lease, dequeue, execute,
+/// finish, pointer requeue/GC — each written once; only the private
+/// transaction runner (RunStep/CommitOnce) knows which mode a chain is in:
+///  - RunOnePass()/ProcessTopItem(): inline. Every transaction commits on
+///    the calling thread and work items run there too (deterministic
+///    tests).
+///  - Start()/Stop(): threaded. Real threads, used by benchmarks and
+///    examples; Manager threads run the chains with blocking commits.
+///  - Start() with config.async_pipeline: pipelined (DESIGN.md §11). No
+///    Manager pool: pointer leases are batched across Q_C pointers per
+///    transaction, commits ride the cluster's async group-commit pipeline
+///    (Database::CommitAsync), and a bounded window of in-flight
+///    transactions — hundreds per consumer — overlaps the commit RTTs
+///    that the blocking modes serialize. The Scanner applies backpressure
+///    when the window fills.
 class Consumer {
  public:
   /// `election_cache` enables the dynamic election of one sequential
@@ -104,9 +110,29 @@ class Consumer {
   bool crashed() const { return crashed_.load(); }
 
  private:
+  /// How a chain is driven: the three modes of the class comment. Steps
+  /// hand every transaction to RunStep/CommitOnce, the only code that
+  /// commits a chain's transactions; inline and threaded chains commit
+  /// there on the calling thread and continue before the call returns,
+  /// pipelined ones hold a window slot and continue on the executor
+  /// (DESIGN.md §11).
+  enum class ChainMode { kInline, kThreaded, kPipelined };
+
   struct TopJob {
     std::string cluster;
     std::string item_id;
+  };
+
+  /// One top-level item travelling through Algorithm 2 after the lease
+  /// step read it: every later step of its chain carries this.
+  struct TopChain {
+    std::string cluster;
+    ck::QueuedItem pointer;  // as read by the lease step
+    std::string lease_id;    // the pointer lease this chain holds
+    ChainMode mode = ChainMode::kInline;
+    /// ProcessTopItem's return slot for the chain's error, if any. Only
+    /// inline chains set it; they end before ProcessTopItem returns.
+    Status* result = nullptr;
   };
 
   struct WorkerJob {
@@ -121,9 +147,9 @@ class Consumer {
     std::shared_ptr<std::atomic<bool>> lease_lost;
     std::shared_ptr<const JobRegistry::Entry> entry;  // may be null
     bool throttle_held = false;
-    /// Finish (complete/requeue/quarantine) through the async pipeline
-    /// instead of a blocking transaction on the worker thread.
-    bool async_finish = false;
+    /// The mode of the chain that dequeued the item; its finish (complete,
+    /// requeue, quarantine) is driven the same way.
+    ChainMode mode = ChainMode::kInline;
     /// What the handler produced on its final attempt: continuations,
     /// outbox effects, and the same-transaction hook ride the successful
     /// Complete (Gray's queued-transaction pattern).
@@ -134,21 +160,54 @@ class Consumer {
     WorkResult terminal_result;
   };
 
-  /// One pointer surviving the read phase of a batched lease transaction.
-  struct LeasedPointer {
-    ck::QueuedItem before;
-    std::string lease_id;
+  /// What one dequeue transaction took out of a tenant zone. Shared by the
+  /// transaction body (which resets it on every attempt) and the step's
+  /// continuation.
+  struct Dequeued {
+    std::vector<ck::LeasedItem> items;
+    std::optional<int64_t> min_vesting;
   };
 
+  /// Outcome of a finish transaction's committed attempt, and its span.
+  struct FinishState {
+    bool fenced = false;
+    std::vector<EnqueueFollowUp> follow_ups;
+    std::vector<std::string> continuation_ids;
+    int64_t start_micros = 0;
+    int64_t end_micros = 0;
+  };
+
+  using TxnBody = std::function<Status(fdb::Transaction&)>;
+  using Continuation = std::function<void(const Status&)>;
+
+  // --- The transaction runner: the only code that commits a chain's txns ---
+  /// Retrying step: runs `body` under the FDB retry loop, then `then` with
+  /// the outcome.
+  void RunStep(ChainMode mode, const std::string& cluster, TxnBody body,
+               Continuation then);
+  /// Single-attempt commit of a transaction the caller has already filled
+  /// (the pointer lease and the pointer GC, where a conflict is an answer,
+  /// not something to retry).
+  void CommitOnce(ChainMode mode, std::shared_ptr<fdb::Transaction> txn,
+                  Continuation then);
+  /// Scanner-side window admission: blocks (counting backpressure stalls)
+  /// until the window has room; false on shutdown.
+  bool WaitForWindowSlot();
+  /// Window accounting: RunStep/CommitOnce hold one slot per pipelined
+  /// transaction, from before it starts until after its continuation ran,
+  /// so a chain never drops out of the window between steps.
+  void BeginTxn() { inflight_txns_.fetch_add(1, std::memory_order_relaxed); }
+  void EndTxn() { inflight_txns_.fetch_sub(1, std::memory_order_acq_rel); }
+
   // --- Algorithm 1 ---
-  void ScannerLoop();
+  void ScannerLoop(ChainMode mode);
   /// One peek+select+dispatch round; returns number dispatched.
-  Result<int> ScanClusterOnce(const std::string& cluster_name,
-                              bool inline_processing);
+  Result<int> ScanClusterOnce(const std::string& cluster_name, ChainMode mode);
   /// Shared peek + in-flight filter + selection (Alg. 1 lines 6–9); the
   /// returned ids are NOT yet marked in flight. Records scan_micros.
   std::vector<std::string> PeekAndSelect(fdb::Database* cluster,
-                                         const std::string& cluster_name);
+                                         const std::string& cluster_name,
+                                         ChainMode mode);
   /// Per-(cluster, shard) sequential-scanner election (§6, DESIGN.md §12).
   /// `shard_zone` is the top-level shard's zone name; unsharded clusters
   /// keep the legacy per-cluster key.
@@ -172,38 +231,55 @@ class Consumer {
   }
 
   // --- Algorithm 2 ---
-  Status ProcessTopItemImpl(const std::string& cluster_name,
-                            const std::string& item_id,
-                            bool inline_processing);
-  /// Obtain-lease transaction; returns the lease id or a collision error.
-  Result<std::pair<ck::QueuedItem, std::string>> LeaseTopItem(
-      fdb::Database* cluster, const ck::DatabaseRef& cluster_db,
-      const std::string& item_id);
-  Status HandlePointer(const std::string& cluster_name,
-                       const ck::QueuedItem& pointer_item,
-                       const std::string& lease_id, bool inline_processing);
+  /// The lease step: one transaction leases every pointer in `ids` (all
+  /// already marked in flight); each survivor continues its own chain.
+  /// Only pipelined chains pass more than one id.
+  void LeaseBatch(const std::string& cluster_name,
+                  std::vector<std::string> ids, ChainMode mode,
+                  Status* result = nullptr);
+  void OnLeaseCommitted(const std::string& cluster_name, ChainMode mode,
+                        std::vector<TopChain> survivors, int64_t lease_start,
+                        const Status& commit);
+  /// Dequeue step for a leased pointer, then the requeue/GC step.
+  void HandlePointer(TopChain chain);
   /// A1 ablation: dequeue directly without a pointer lease (item-level
   /// contention, ATF-style).
-  Status HandlePointerItemLevel(const std::string& cluster_name,
-                                const ck::QueuedItem& pointer_item,
-                                bool inline_processing);
-  Status RequeueOrGcPointer(const std::string& cluster_name,
-                            const ck::QueuedItem& pointer_item,
-                            const std::string& lease_id, bool found_items,
-                            std::optional<int64_t> min_vesting,
-                            const tup::Subspace& zone_subspace);
+  void HandlePointerItemLevel(TopChain chain);
+  /// Dequeue transaction body (Alg. 2 step ii) behind the migration fence.
+  Status DequeueBody(fdb::Transaction& txn, const ck::DatabaseId& db_id,
+                     const tup::Subspace& zone_subspace, Dequeued* out);
+  /// Hands a dequeue's items to the Workers.
+  void DispatchDequeued(const TopChain& chain, const Pointer& pointer,
+                        std::vector<ck::LeasedItem> items, int64_t deq_start,
+                        int64_t deq_end, const std::string& detail);
+  void RequeueOrGcPointer(const TopChain& chain, bool found_items,
+                          std::optional<int64_t> min_vesting,
+                          const tup::Subspace& zone_subspace);
+  /// Last step of every top-level chain: releases the in-flight mark and
+  /// reports `st` to ProcessTopItem.
+  void EndChain(const TopChain& chain, const Status& st);
 
   // --- Algorithm 3 ---
-  void DispatchWorkerJob(WorkerJob job, bool inline_processing);
+  void DispatchWorkerJob(WorkerJob job);
+  /// Pushes an already-dequeued item back (admission / throttle verdicts).
+  void RequeueBack(const WorkerJob& job, int64_t delay, std::string why);
   void ProcessWorkItem(WorkerJob job);
-  Status FinishItem(const WorkerJob& job, const Status& final_status);
+  void FinishItem(WorkerJob job, const Status& final_status);
   /// Terminal failure (permanent error, retry exhaustion, unknown job
   /// type): quarantines or — legacy mode — deletes the item, fenced by the
   /// job's lease so an expired-lease consumer can never perform a terminal
   /// transition on an item another consumer has retaken.
-  Status FinishTerminalFailure(const WorkerJob& job,
-                               const Status& final_status,
-                               const RetryPolicy& policy);
+  void FinishTerminalFailure(std::shared_ptr<const WorkerJob> job,
+                             const Status& final_status,
+                             const RetryPolicy& policy);
+  /// One lease-fenced transition out of processing: `transition` is the
+  /// queue write, `extras` (may be null) commit with it, and `done` runs
+  /// after an unfenced commit. A fenced transition applies nothing and is
+  /// counted as such under `what`.
+  void FinishStep(std::shared_ptr<const WorkerJob> job, const char* what,
+                  const WorkResult* extras, bool observe_health,
+                  std::function<Status(ck::QueueZone&)> transition,
+                  std::function<void(const FinishState&)> done);
   /// True when `result` carries anything the finish transaction must apply.
   static bool HasExtras(const WorkResult& result) {
     return result.txn_hook != nullptr || !result.continuations.empty() ||
@@ -224,48 +300,6 @@ class Consumer {
   void AfterResultExtras(const WorkerJob& job, const WorkResult& result,
                          const std::vector<EnqueueFollowUp>& follow_ups,
                          const std::vector<std::string>& continuation_ids);
-
-  // --- Async pipelined mode (DESIGN.md §11) ---
-  bool AsyncMode() const { return config_.async_pipeline && exec_ != nullptr; }
-  void AsyncScannerLoop();
-  /// One async scan round: peek+select, then dispatch the selection as
-  /// batched lease transactions into the in-flight window (blocking for
-  /// window slots — the backpressure point). Returns pointers dispatched.
-  Result<int> AsyncScanClusterOnce(const std::string& cluster_name);
-  /// Issues one batched lease transaction over `ids` (all already marked
-  /// in flight; caller holds one window slot, released when the commit
-  /// resolves). Reads and lease writes for every pointer share the
-  /// transaction, so one commit RTT covers the whole batch.
-  void AsyncLeaseBatch(const std::string& cluster_name,
-                       std::vector<std::string> ids);
-  void OnLeaseBatchCommitted(const std::string& cluster_name,
-                             std::vector<LeasedPointer> survivors,
-                             int64_t lease_start, const Status& commit);
-  /// Async Algorithm 2 for one leased pointer. Caller holds one window
-  /// slot and the pointer's in-flight mark; the chain releases both when
-  /// the requeue/GC step resolves.
-  void AsyncHandlePointer(const std::string& cluster_name,
-                          const ck::QueuedItem& pointer_item,
-                          const std::string& lease_id);
-  void AsyncRequeueOrGcPointer(const std::string& cluster_name,
-                               const ck::QueuedItem& pointer_item,
-                               const std::string& lease_id, bool found_items,
-                               std::optional<int64_t> min_vesting,
-                               const tup::Subspace& zone_subspace,
-                               const std::string& inflight_key);
-  /// Async transition out of processing (FinishItem's pipeline twin): the
-  /// worker thread hands the commit to the window and moves on.
-  void AsyncFinishItem(WorkerJob job, const Status& final_status);
-  void AsyncFinishTerminalFailure(std::shared_ptr<WorkerJob> job,
-                                  const Status& final_status,
-                                  const RetryPolicy& policy);
-  /// Scanner-side window admission: blocks (counting backpressure stalls)
-  /// until a slot frees; false on shutdown.
-  bool AcquireWindowSlot();
-  /// Unconditional slot accounting for continuation transactions — a chain
-  /// mid-flight must never deadlock waiting on its own window.
-  void BeginTxn() { inflight_txns_.fetch_add(1, std::memory_order_relaxed); }
-  void EndTxn() { inflight_txns_.fetch_sub(1, std::memory_order_acq_rel); }
 
   // Lease extender.
   void ExtenderLoop();
@@ -314,7 +348,7 @@ class Consumer {
   std::unique_ptr<BlockingQueue<TopJob>> manager_queue_;
   std::unique_ptr<BlockingQueue<WorkerJob>> worker_queue_;
 
-  /// Async pipeline: continuation executor, chain cancellation (armed by
+  /// Pipelined chains: continuation executor, chain cancellation (armed by
   /// Stop()), and the in-flight transaction window counter.
   std::unique_ptr<fdb::ThreadPoolExecutor> exec_;
   fdb::CancelToken cancel_;

@@ -86,7 +86,7 @@ struct ConsumerStats {
   // so a perf regression can be pinned to the stage that moved.
   /// Scanner peek+select phase of one cluster pass.
   Histogram scan_micros;
-  /// Obtain-lease transaction (LeaseTopItem), success or collision.
+  /// Obtain-lease transaction (one lease batch), success or collision.
   Histogram lease_txn_micros;
   /// Batch-dequeue transaction of a pointed-to queue zone.
   Histogram dequeue_txn_micros;

@@ -2,11 +2,13 @@
 // executors that drive async transaction chains: completion and callback
 // ordering, Then chaining (including flattening), WhenAll fan-in, sticky
 // cancellation tokens, ManualExecutor virtual-time timers, and the
-// ThreadPoolExecutor's shutdown contract.
+// ThreadPoolExecutor's shutdown contract (including teardown right after a
+// foreign thread's Post).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -204,6 +206,22 @@ TEST(ThreadPoolExecutorTest, ShutdownDropsPendingTimersAndIsIdempotent) {
   exec->Post([&] { fired.store(true); });  // dropped after shutdown
   exec.reset();
   EXPECT_FALSE(fired.load());
+}
+
+// The consumer's teardown pattern: a foreign thread (the commit pump) posts
+// the task that lets the owner shut down and destroy the executor. Post
+// must be done with the executor's state before that task can run, or the
+// owner destroys the condition variable under the poster's notify.
+TEST(ThreadPoolExecutorTest, OwnerMayDestroyOnceAForeignPostHasRun) {
+  for (int i = 0; i < 2000; ++i) {
+    auto exec = std::make_unique<ThreadPoolExecutor>(1);
+    ThreadPoolExecutor* raw = exec.get();
+    std::atomic<bool> ran{false};
+    std::thread poster([raw, &ran] { raw->Post([&ran] { ran.store(true); }); });
+    while (!ran.load()) std::this_thread::yield();
+    exec.reset();
+    poster.join();
+  }
 }
 
 }  // namespace
