@@ -26,7 +26,7 @@ void BM_Fig7_SelectionFrac(benchmark::State& state) {
   wl::HarnessOptions hopts;
   hopts.num_clusters = 1;
   hopts.work_millis = 1;
-  hopts.enable_group_commit = group_commit;
+  if (!group_commit) hopts.max_commit_batch = 1;
   // Modest injected FDB latencies: without them, lease transactions finish
   // so fast that racing consumers almost never overlap and the collision
   // signal the paper measures disappears.

@@ -99,7 +99,7 @@ BENCHMARK(BM_FdbRangeScan100);
 void BM_FdbConcurrentCommit(benchmark::State& state) {
   const bool group = state.range(0) != 0;
   fdb::Database::Options opts;
-  opts.enable_group_commit = group;
+  if (!group) opts.max_commit_batch = 1;
   opts.latency.commit_micros = 200;  // modeled replication round trip
   fdb::Database db("bench", opts);
 

@@ -4,7 +4,9 @@
 // there are no spurious notifications for aborted writes and no lost
 // notifications for committed ones. Delivery goes through a flaky
 // simulated APNs; transient failures retry with exponential backoff,
-// unregistered devices are permanent failures and are dropped.
+// unregistered devices are permanent failures and are quarantined as dead
+// letters (RetryPolicy::quarantine_on_failure, on by default) for an
+// operator to inspect, requeue or purge.
 //
 // Build & run:  ./build/examples/push_notifications
 
@@ -114,11 +116,10 @@ int main() {
 
   core::ConsumerStats& s = consumer.stats();
   std::printf(
-      "\n[stats] delivered=%d retried=%lld dropped_permanent=%lld\n",
+      "\n[stats] delivered=%d retried=%lld quarantined=%lld\n",
       apns.delivered(), static_cast<long long>(s.items_requeued.Value()),
-      static_cast<long long>(s.items_dropped_permanent.Value()));
-  const bool ok = apns.delivered() == 2 &&
-                  s.items_dropped_permanent.Value() == 1;
+      static_cast<long long>(s.items_quarantined.Value()));
+  const bool ok = apns.delivered() == 2 && s.items_quarantined.Value() == 1;
   std::printf("%s\n", ok ? "SUCCESS" : "INCOMPLETE");
   return ok ? 0 : 1;
 }

@@ -1,5 +1,6 @@
 #include "common/bytes.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace quick {
@@ -69,21 +70,13 @@ uint64_t DecodeBigEndian64(std::string_view s) {
 }
 
 std::string EncodeLittleEndian64(uint64_t v) {
-  std::string out(8, '\0');
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<char>(v & 0xFF);
-    v >>= 8;
-  }
+  std::string out;
+  PutU64(&out, v);
   return out;
 }
 
 uint64_t DecodeLittleEndian64(std::string_view s) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    uint64_t b = i < s.size() ? static_cast<unsigned char>(s[i]) : 0;
-    v |= b << (8 * i);
-  }
-  return v;
+  return GetUint(s, 0, std::min<size_t>(s.size(), 8));
 }
 
 }  // namespace quick

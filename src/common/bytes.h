@@ -59,8 +59,32 @@ std::string EncodeBigEndian64(uint64_t v);
 uint64_t DecodeBigEndian64(std::string_view s);
 
 /// Little-endian 64-bit encodings used by FDB atomic ADD/MIN/MAX operands.
+/// Decoding a string shorter than 8 bytes zero-fills the missing high bytes.
 std::string EncodeLittleEndian64(uint64_t v);
 uint64_t DecodeLittleEndian64(std::string_view s);
+
+/// Fixed-width little-endian integers appended to `out`: the framing of the
+/// WAL, checkpoint and fencing-manifest files. Inline, as the WAL frames
+/// every mutation with them.
+inline void PutLittleEndian(std::string* out, uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+inline void PutU16(std::string* out, uint16_t v) { PutLittleEndian(out, v, 2); }
+inline void PutU32(std::string* out, uint32_t v) { PutLittleEndian(out, v, 4); }
+inline void PutU64(std::string* out, uint64_t v) { PutLittleEndian(out, v, 8); }
+
+/// Reads the `width`-byte little-endian integer at `data[offset]`; the
+/// caller guarantees the bytes exist.
+inline uint64_t GetUint(std::string_view data, size_t offset, size_t width) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(data[offset + i]))
+         << (8 * i);
+  }
+  return v;
+}
 
 }  // namespace quick
 

@@ -31,8 +31,28 @@ class Counter {
   std::atomic<int64_t> v_{0};
 };
 
-/// Last-write-wins instantaneous value (queue depths, pool sizes,
-/// published consumer stats).
+/// Declare-once counter lists. A component names its counters once, in an
+/// X-macro list `#define FOO_COUNTERS(X) X(a) X(b) ...`, and expands that
+/// one list into the by-value snapshot it hands out and the live counters
+/// behind it:
+///
+///   struct Stats { FOO_COUNTERS(QUICK_STAT_FIELD) };
+///   QUICK_LIVE_COUNTERS(FOO_COUNTERS, Stats) stats_;  // stats_.a.Increment()
+///   Stats GetStats() const { return stats_.Read(); }
+#define QUICK_STAT_FIELD(name) int64_t name = 0;
+#define QUICK_STAT_COUNTER(name) ::quick::Counter name;
+#define QUICK_STAT_READ(name) out.name = name.Value();
+#define QUICK_LIVE_COUNTERS(LIST, Snapshot) \
+  struct {                                  \
+    LIST(QUICK_STAT_COUNTER)                \
+    Snapshot Read() const {                 \
+      Snapshot out;                         \
+      LIST(QUICK_STAT_READ)                 \
+      return out;                           \
+    }                                       \
+  }
+
+/// Last-write-wins instantaneous value (queue depths, pool sizes).
 class Gauge {
  public:
   void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }

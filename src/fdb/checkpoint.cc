@@ -4,33 +4,13 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/file_io.h"
 
 namespace quick::fdb {
 
 namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-uint64_t GetUint(std::string_view data, size_t offset, size_t width) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < width; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(data[offset + i]))
-         << (8 * i);
-  }
-  return v;
-}
 
 constexpr size_t kHeaderSize = 24;
 constexpr size_t kFooterSize = 4;
@@ -74,10 +54,8 @@ void CheckpointBuilder::Add(std::string_view key, std::string_view value) {
 }
 
 std::string CheckpointBuilder::Finish() {
-  const uint64_t count = static_cast<uint64_t>(key_count_);
-  for (int i = 0; i < 8; ++i) {
-    body_[16 + i] = static_cast<char>((count >> (8 * i)) & 0xFF);
-  }
+  body_.replace(16, 8,
+                EncodeLittleEndian64(static_cast<uint64_t>(key_count_)));
   const uint32_t crc = Crc32c(body_);
   PutU32(&body_, crc);
   return std::move(body_);

@@ -12,9 +12,9 @@ namespace quick::fdb {
 
 /// Legacy linear-scan Resolver: a deque of commit records scanned
 /// newest-first on every check, O(tracked commits × read ranges) per
-/// HasConflict. Kept behind Database::Options::resolver = kLegacyLinear
-/// for differential testing against the IntervalResolver that replaced it
-/// on the hot path; see bench_micro_resolver for the gap.
+/// HasConflict. The Database uses the IntervalResolver that replaced it;
+/// this one stays as the oracle of resolver_differential_test and
+/// conflict_tracker_test and as bench_micro_resolver's baseline.
 ///
 /// Retention is whatever the caller prunes to: the Database prunes it at
 /// the MVCC read floor (the 5s window), so the tracked set is bounded by

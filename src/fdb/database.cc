@@ -7,22 +7,9 @@
 
 #include "common/file_io.h"
 #include "fdb/checkpoint.h"
-#include "fdb/conflict_tracker.h"
 #include "fdb/interval_resolver.h"
-#include "fdb/wal.h"
 
 namespace quick::fdb {
-
-namespace {
-
-std::unique_ptr<Resolver> MakeResolver(Database::ResolverKind kind) {
-  if (kind == Database::ResolverKind::kLegacyLinear) {
-    return std::make_unique<ConflictTracker>();
-  }
-  return std::make_unique<IntervalResolver>();
-}
-
-}  // namespace
 
 Database::Database(std::string name) : Database(std::move(name), Options{}) {}
 
@@ -30,7 +17,7 @@ Database::Database(std::string name, Options options)
     : name_(std::move(name)),
       options_(options),
       faults_(options.faults, options.fault_plan, options.clock),
-      resolver_(MakeResolver(options.resolver)),
+      resolver_(std::make_unique<IntervalResolver>()),
       latency_(options.latency),
       batch_size_hist_(
           MetricsRegistry::Default()->GetHistogram("fdb.commit.batch_size")),
@@ -115,7 +102,7 @@ Result<Version> Database::AcquireReadVersion(const TransactionOptions& topts) {
     if (cached_grv_ != kInvalidVersion &&
         options_.clock->NowMillis() - cached_grv_time_millis_ <=
             options_.grv_cache_staleness_millis) {
-      stats_.grv_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      stats_.grv_cache_hits.Increment();
       return cached_grv_;
     }
   }
@@ -131,7 +118,7 @@ Result<Version> Database::AcquireReadVersion(const TransactionOptions& topts) {
     cached_grv_ = v;
     cached_grv_time_millis_ = options_.clock->NowMillis();
   }
-  stats_.grv_calls.fetch_add(1, std::memory_order_relaxed);
+  stats_.grv_calls.Increment();
   return v;
 }
 
@@ -145,7 +132,7 @@ Result<std::optional<std::string>> Database::ReadAt(const std::string& key,
   if (version < min_read_version_.load(std::memory_order_acquire)) {
     return Status::TransactionTooOld("read version pruned");
   }
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+  stats_.reads.Increment();
   std::shared_lock<std::shared_mutex> lock(mu_);
   return store_.Get(key, version);
 }
@@ -160,7 +147,7 @@ Result<std::vector<KeyValue>> Database::ReadRangeAt(
   if (version < min_read_version_.load(std::memory_order_acquire)) {
     return Status::TransactionTooOld("read version pruned");
   }
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+  stats_.reads.Increment();
   std::shared_lock<std::shared_mutex> lock(mu_);
   return store_.GetRange(range, version, options);
 }
@@ -176,7 +163,7 @@ Status Database::ScanRangeAt(const KeyRange& range, Version version,
   if (version < min_read_version_.load(std::memory_order_acquire)) {
     return Status::TransactionTooOld("read version pruned");
   }
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+  stats_.reads.Increment();
   std::shared_lock<std::shared_mutex> lock(mu_);
   store_.ScanRange(range, version, options, sink);
   return Status::OK();
@@ -189,20 +176,17 @@ size_t Database::MaxCommitBatch() const {
   // the baton. With group commit the leader's round doubles as the
   // batching window: commits arriving during it pile into the queue and
   // are resolved and applied together at one version, so the round is
-  // amortized across the batch. With group commit disabled the pipeline
-  // degrades to batches of exactly one — every commit pays its own
+  // amortized across the batch. max_commit_batch = 1 degrades the
+  // pipeline to batches of exactly one — every commit pays its own
   // round, which is what a commit log without batching costs.
-  return options_.enable_group_commit
-             ? static_cast<size_t>(
-                   std::clamp(options_.max_commit_batch, 1, 65535))
-             : 1;
+  return static_cast<size_t>(std::clamp(options_.max_commit_batch, 1, 65535));
 }
 
 Result<CommitOutcome> Database::CommitAt(CommitRequest&& request) {
   if (options_.durability.enable_wal && DurabilityDead()) {
     return Status::Unavailable("durable log dead; restart required");
   }
-  stats_.commits_attempted.fetch_add(1, std::memory_order_relaxed);
+  stats_.commits_attempted.Increment();
 
   PendingCommit pc;
   pc.request = std::move(request);
@@ -211,7 +195,7 @@ Result<CommitOutcome> Database::CommitAt(CommitRequest&& request) {
     return Status::Unavailable("injected commit failure");
   }
   if (pc.fault == FaultInjector::CommitFault::kTooOld) {
-    stats_.too_old.fetch_add(1, std::memory_order_relaxed);
+    stats_.too_old.Increment();
     return Status::TransactionTooOld("injected transaction_too_old");
   }
 
@@ -245,7 +229,7 @@ void Database::CommitAsync(CommitRequest&& request, CommitCallback done) {
     done(Status::Unavailable("durable log dead; restart required"));
     return;
   }
-  stats_.commits_attempted.fetch_add(1, std::memory_order_relaxed);
+  stats_.commits_attempted.Increment();
 
   const FaultInjector::CommitFault fault = faults_.NextCommitFault();
   if (fault == FaultInjector::CommitFault::kUnavailable) {
@@ -253,7 +237,7 @@ void Database::CommitAsync(CommitRequest&& request, CommitCallback done) {
     return;
   }
   if (fault == FaultInjector::CommitFault::kTooOld) {
-    stats_.too_old.fetch_add(1, std::memory_order_relaxed);
+    stats_.too_old.Increment();
     done(Status::TransactionTooOld("injected transaction_too_old"));
     return;
   }
@@ -446,7 +430,7 @@ void Database::FinishBatchDurable(const std::vector<PendingCommit*>& batch,
   for (PendingCommit* pc : batch) {
     if (pc->outcome.version == kInvalidVersion) continue;
     if (pc->status.ok()) {
-      stats_.unknown_results.fetch_add(1, std::memory_order_relaxed);
+      stats_.unknown_results.Increment();
     }
     pc->status = Status::CommitUnknownResult(
         "applied in memory but not confirmed: " + st.message());
@@ -559,8 +543,8 @@ Result<Version> Database::Checkpoint() {
   }
   durable_checkpoint_version_.store(snapshot, std::memory_order_release);
   RetireOldCheckpoints(options_.durability.dir, snapshot);
-  checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
-  checkpoint_keys_written_.fetch_add(keys, std::memory_order_relaxed);
+  stats_.checkpoints_written.Increment();
+  stats_.checkpoint_keys_written.Increment(keys);
   return snapshot;
 }
 
@@ -584,21 +568,21 @@ void Database::ProcessBatchLocked(const std::vector<PendingCommit*>& batch) {
       read_ranges_checked_counter_->Increment(
           static_cast<int64_t>(req.read_conflicts.size()));
       if (req.read_version < resolver_->MinCheckableVersion()) {
-        stats_.too_old.fetch_add(1, std::memory_order_relaxed);
+        stats_.too_old.Increment();
         pc->status =
             Status::TransactionTooOld("read version predates resolver window");
         continue;
       }
       if (resolver_->HasConflict(req.read_conflicts, req.read_version) ||
           batch_writes.HasConflict(req.read_conflicts, req.read_version)) {
-        stats_.conflicts.fetch_add(1, std::memory_order_relaxed);
+        stats_.conflicts.Increment();
         resolver_conflicts_counter_->Increment();
         pc->status = Status::NotCommitted();
         continue;
       }
     }
     if (pc->fault == FaultInjector::CommitFault::kUnknownDropped) {
-      stats_.unknown_results.fetch_add(1, std::memory_order_relaxed);
+      stats_.unknown_results.Increment();
       pc->status = Status::CommitUnknownResult("injected; not applied");
       continue;
     }
@@ -613,15 +597,15 @@ void Database::ProcessBatchLocked(const std::vector<PendingCommit*>& batch) {
     }
     pc->outcome = CommitOutcome{version, order};
     ++order;
-    stats_.commits_succeeded.fetch_add(1, std::memory_order_relaxed);
+    stats_.commits_succeeded.Increment();
     if (pc->fault == FaultInjector::CommitFault::kUnknownApplied) {
-      stats_.unknown_results.fetch_add(1, std::memory_order_relaxed);
+      stats_.unknown_results.Increment();
       pc->status = Status::CommitUnknownResult("injected; applied");
     }
   }
 
   batch_size_hist_->Record(static_cast<int64_t>(batch.size()));
-  stats_.commit_batches.fetch_add(1, std::memory_order_relaxed);
+  stats_.commit_batches.Increment();
   if (order > 0) {
     resolver_->AddCommit(version, std::move(combined_writes));
     version_times_.emplace_back(version, options_.clock->NowMillis());
@@ -677,32 +661,13 @@ void Database::MaybePruneLocked() {
 }
 
 Database::Stats Database::GetStats() const {
-  Stats out;
-  out.grv_calls = stats_.grv_calls.load(std::memory_order_relaxed);
-  out.grv_cache_hits = stats_.grv_cache_hits.load(std::memory_order_relaxed);
-  out.commits_attempted =
-      stats_.commits_attempted.load(std::memory_order_relaxed);
-  out.commits_succeeded =
-      stats_.commits_succeeded.load(std::memory_order_relaxed);
-  out.commit_batches = stats_.commit_batches.load(std::memory_order_relaxed);
-  out.conflicts = stats_.conflicts.load(std::memory_order_relaxed);
-  out.too_old = stats_.too_old.load(std::memory_order_relaxed);
-  out.unknown_results =
-      stats_.unknown_results.load(std::memory_order_relaxed);
-  out.reads = stats_.reads.load(std::memory_order_relaxed);
+  Stats out = stats_.Read();
   if (wal_ != nullptr) {
-    const Wal::Stats ws = wal_->GetStats();
-    out.wal_appends = ws.appends;
-    out.wal_appended_bytes = ws.appended_bytes;
-    out.wal_syncs = ws.syncs;
-    out.wal_fsyncs_coalesced = ws.fsyncs_coalesced;
-    out.wal_segments_created = ws.segments_created;
-    out.wal_segments_deleted = ws.segments_deleted;
+    const Wal::Stats wal = wal_->GetStats();
+#define QUICK_FDB_COPY_WAL_STAT(name) out.wal_##name = wal.name;
+    QUICK_FDB_WAL_COUNTERS(QUICK_FDB_COPY_WAL_STAT)
+#undef QUICK_FDB_COPY_WAL_STAT
   }
-  out.checkpoints_written =
-      checkpoints_written_.load(std::memory_order_relaxed);
-  out.checkpoint_keys_written =
-      checkpoint_keys_written_.load(std::memory_order_relaxed);
   return out;
 }
 

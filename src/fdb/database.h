@@ -22,11 +22,27 @@
 #include "fdb/transaction.h"
 #include "fdb/types.h"
 #include "fdb/versioned_store.h"
+#include "fdb/wal.h"
+
+/// The cluster's counters, named once (common/metrics.h's declare-once
+/// lists).
+#define QUICK_FDB_DATABASE_COUNTERS(X)                                 \
+  X(grv_calls)                                                         \
+  X(grv_cache_hits)                                                    \
+  X(commits_attempted)                                                 \
+  X(commits_succeeded)                                                 \
+  /* Commit batches applied; commits_attempted / commit_batches is the \
+     mean group-commit batch size. */                                  \
+  X(commit_batches)                                                    \
+  X(conflicts)                                                         \
+  X(too_old)                                                           \
+  X(unknown_results)                                                   \
+  X(reads)                                                             \
+  /* Durability pipeline (zero while the WAL is disabled). */          \
+  X(checkpoints_written)                                               \
+  X(checkpoint_keys_written)
 
 namespace quick::fdb {
-
-class Wal;
-struct WalBatchRef;
 
 /// One simulated FoundationDB cluster: MVCC storage + resolver + version
 /// authority. Thread-safe; any number of threads may run transactions
@@ -37,16 +53,6 @@ struct WalBatchRef;
 /// outside the locks so commits pipeline).
 class Database {
  public:
-  /// Which conflict-resolution structure the cluster uses.
-  enum class ResolverKind {
-    /// Sorted interval map with max-commit-version annotations; O(log n)
-    /// conflict checks and incremental pruning (interval_resolver.h).
-    kInterval,
-    /// The original linear-scan commit list (conflict_tracker.h); retained
-    /// for differential testing and comparison benchmarks.
-    kLegacyLinear,
-  };
-
   struct Options {
     Clock* clock = SystemClock::Default();
     /// FoundationDB's 5-second transaction lifetime; reads/commits on older
@@ -59,14 +65,12 @@ class Database {
     int64_t max_transaction_bytes = 1 << 20;
     /// How stale a cached read version may be before a real GRV is issued.
     int64_t grv_cache_staleness_millis = 1000;
-    /// Batch concurrently arriving commits into one resolution + apply pass
-    /// at a single storage version (members get distinct versionstamp
-    /// batch-order bytes). Off = every commit is a batch of one.
-    bool enable_group_commit = true;
-    /// Most transactions resolved and applied per commit batch (capped at
-    /// 65535, the versionstamp batch-order range).
+    /// Group commit: concurrently arriving commits are resolved and
+    /// applied as one batch at a single storage version (members get
+    /// distinct versionstamp batch-order bytes), at most this many per
+    /// batch (capped at 65535, the versionstamp batch-order range). 1 =
+    /// every commit is a batch of one.
     int max_commit_batch = 128;
-    ResolverKind resolver = ResolverKind::kInterval;
     LatencyModel latency;
     FaultInjector::Config faults;
     /// Scheduled fault windows (outages, failure-rate spikes, latency
@@ -99,28 +103,13 @@ class Database {
   };
 
   /// Cumulative cluster statistics (observability; Figure 7's collision
-  /// breakdown reads the conflict counter).
+  /// breakdown reads the conflict counter), followed by the WAL's counters
+  /// as wal_<name> (all zero when the WAL is disabled).
   struct Stats {
-    int64_t grv_calls = 0;
-    int64_t grv_cache_hits = 0;
-    int64_t commits_attempted = 0;
-    int64_t commits_succeeded = 0;
-    /// Commit batches applied; commits_attempted / commit_batches is the
-    /// mean group-commit batch size.
-    int64_t commit_batches = 0;
-    int64_t conflicts = 0;
-    int64_t too_old = 0;
-    int64_t unknown_results = 0;
-    int64_t reads = 0;
-    // Durability pipeline (all zero when the WAL is disabled).
-    int64_t wal_appends = 0;
-    int64_t wal_appended_bytes = 0;
-    int64_t wal_syncs = 0;
-    int64_t wal_fsyncs_coalesced = 0;
-    int64_t wal_segments_created = 0;
-    int64_t wal_segments_deleted = 0;
-    int64_t checkpoints_written = 0;
-    int64_t checkpoint_keys_written = 0;
+#define QUICK_FDB_WAL_STAT_FIELD(name) int64_t wal_##name = 0;
+    QUICK_FDB_DATABASE_COUNTERS(QUICK_STAT_FIELD)
+    QUICK_FDB_WAL_COUNTERS(QUICK_FDB_WAL_STAT_FIELD)
+#undef QUICK_FDB_WAL_STAT_FIELD
   };
 
   /// Replaces the injected-latency model. NOT thread-safe: call only while
@@ -352,8 +341,6 @@ class Database {
   /// Fatal durability failure outside the Wal itself (checkpoint-write
   /// faults): the simulated process is dead.
   std::atomic<bool> halted_{false};
-  std::atomic<int64_t> checkpoints_written_{0};
-  std::atomic<int64_t> checkpoint_keys_written_{0};
 
   std::mutex grv_cache_mu_;
   Version cached_grv_ = kInvalidVersion;
@@ -369,18 +356,7 @@ class Database {
 
   // Lock-free statistic counters: reads/commits from every thread touch
   // these, so a mutex here would serialize the whole cluster.
-  struct AtomicStats {
-    std::atomic<int64_t> grv_calls{0};
-    std::atomic<int64_t> grv_cache_hits{0};
-    std::atomic<int64_t> commits_attempted{0};
-    std::atomic<int64_t> commits_succeeded{0};
-    std::atomic<int64_t> commit_batches{0};
-    std::atomic<int64_t> conflicts{0};
-    std::atomic<int64_t> too_old{0};
-    std::atomic<int64_t> unknown_results{0};
-    std::atomic<int64_t> reads{0};
-  };
-  AtomicStats stats_;
+  QUICK_LIVE_COUNTERS(QUICK_FDB_DATABASE_COUNTERS, Stats) stats_;
 };
 
 }  // namespace quick::fdb

@@ -1,16 +1,31 @@
 #ifndef QUICK_FDB_FAULT_INJECTOR_H_
 #define QUICK_FDB_FAULT_INJECTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <utility>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "fdb/fault_plan.h"
+
+/// Cumulative injected-fault counters, named once (common/metrics.h's
+/// declare-once lists).
+#define QUICK_FDB_FAULT_COUNTS(X) \
+  X(outage_rejections)            \
+  X(read_faults)                  \
+  X(forced_too_old)               \
+  X(latency_spike_millis)         \
+  X(torn_writes)                  \
+  X(corrupted_writes)             \
+  X(fsync_stall_millis)           \
+  X(link_drops)                   \
+  X(link_duplicates)              \
+  X(link_delay_millis)            \
+  X(link_partitions)
 
 namespace quick::fdb {
 
@@ -46,17 +61,7 @@ class FaultInjector {
 
   /// Cumulative injected-fault counters (observability for chaos tests).
   struct Counts {
-    int64_t outage_rejections = 0;
-    int64_t read_faults = 0;
-    int64_t forced_too_old = 0;
-    int64_t latency_spike_millis = 0;
-    int64_t torn_writes = 0;
-    int64_t corrupted_writes = 0;
-    int64_t fsync_stall_millis = 0;
-    int64_t link_drops = 0;
-    int64_t link_duplicates = 0;
-    int64_t link_delay_millis = 0;
-    int64_t link_partitions = 0;
+    QUICK_FDB_FAULT_COUNTS(QUICK_STAT_FIELD)
   };
 
   FaultInjector() : FaultInjector(Config{}) {}
@@ -79,7 +84,7 @@ class FaultInjector {
   CommitFault NextCommitFault() {
     const FaultWindow effect = ActiveEffect();
     if (effect.full_outage) {
-      outage_rejections_.fetch_add(1, std::memory_order_relaxed);
+      counts_.outage_rejections.Increment();
       return CommitFault::kUnavailable;
     }
     const double p_unavailable =
@@ -99,7 +104,7 @@ class FaultInjector {
     if (roll < threshold) return CommitFault::kUnavailable;
     threshold += effect.transaction_too_old;
     if (roll < threshold) {
-      forced_too_old_.fetch_add(1, std::memory_order_relaxed);
+      counts_.forced_too_old.Increment();
       return CommitFault::kTooOld;
     }
     return CommitFault::kNone;
@@ -109,7 +114,7 @@ class FaultInjector {
   bool NextGrvFault() {
     const FaultWindow effect = ActiveEffect();
     if (effect.full_outage) {
-      outage_rejections_.fetch_add(1, std::memory_order_relaxed);
+      counts_.outage_rejections.Increment();
       return true;
     }
     const double p = config_.grv_unavailable + effect.grv_unavailable;
@@ -123,7 +128,7 @@ class FaultInjector {
   Status NextReadFault() {
     const FaultWindow effect = ActiveEffect();
     if (effect.full_outage) {
-      outage_rejections_.fetch_add(1, std::memory_order_relaxed);
+      counts_.outage_rejections.Increment();
       return Status::Unavailable("injected outage: cluster unreachable");
     }
     if (effect.read_unavailable == 0 && effect.transaction_too_old == 0) {
@@ -132,11 +137,11 @@ class FaultInjector {
     std::lock_guard<std::mutex> lock(mu_);
     const double roll = rng_.NextDouble();
     if (roll < effect.read_unavailable) {
-      read_faults_.fetch_add(1, std::memory_order_relaxed);
+      counts_.read_faults.Increment();
       return Status::Unavailable("injected read failure");
     }
     if (roll < effect.read_unavailable + effect.transaction_too_old) {
-      forced_too_old_.fetch_add(1, std::memory_order_relaxed);
+      counts_.forced_too_old.Increment();
       return Status::TransactionTooOld("injected transaction_too_old");
     }
     return Status::OK();
@@ -149,9 +154,7 @@ class FaultInjector {
     if (plan_.empty() || clock_ == nullptr) return 0;
     const int64_t extra =
         plan_.EffectAt(clock_->NowMillis()).extra_latency_millis;
-    if (extra > 0) {
-      latency_spike_millis_.fetch_add(extra, std::memory_order_relaxed);
-    }
+    if (extra > 0) counts_.latency_spike_millis.Increment(extra);
     return extra;
   }
 
@@ -171,14 +174,13 @@ class FaultInjector {
       if (f.op != op || f.at_op != ordinal) continue;
       switch (f.kind) {
         case DiskFault::Kind::kTornWrite:
-          torn_writes_.fetch_add(1, std::memory_order_relaxed);
+          counts_.torn_writes.Increment();
           break;
         case DiskFault::Kind::kChecksumCorruption:
-          corrupted_writes_.fetch_add(1, std::memory_order_relaxed);
+          counts_.corrupted_writes.Increment();
           break;
         case DiskFault::Kind::kFsyncStall:
-          fsync_stall_millis_.fetch_add(f.stall_millis,
-                                        std::memory_order_relaxed);
+          counts_.fsync_stall_millis.Increment(f.stall_millis);
           break;
       }
       return f;
@@ -201,17 +203,16 @@ class FaultInjector {
       if (f.at_op != ordinal) continue;
       switch (f.kind) {
         case LinkFault::Kind::kDrop:
-          link_drops_.fetch_add(1, std::memory_order_relaxed);
+          counts_.link_drops.Increment();
           break;
         case LinkFault::Kind::kDuplicate:
-          link_duplicates_.fetch_add(1, std::memory_order_relaxed);
+          counts_.link_duplicates.Increment();
           break;
         case LinkFault::Kind::kDelay:
-          link_delay_millis_.fetch_add(f.delay_millis,
-                                       std::memory_order_relaxed);
+          counts_.link_delay_millis.Increment(f.delay_millis);
           break;
         case LinkFault::Kind::kPartition:
-          link_partitions_.fetch_add(1, std::memory_order_relaxed);
+          counts_.link_partitions.Increment();
           break;
       }
       return f;
@@ -222,25 +223,7 @@ class FaultInjector {
   const Config& config() const { return config_; }
   const FaultPlan& plan() const { return plan_; }
 
-  Counts counts() const {
-    Counts out;
-    out.outage_rejections =
-        outage_rejections_.load(std::memory_order_relaxed);
-    out.read_faults = read_faults_.load(std::memory_order_relaxed);
-    out.forced_too_old = forced_too_old_.load(std::memory_order_relaxed);
-    out.latency_spike_millis =
-        latency_spike_millis_.load(std::memory_order_relaxed);
-    out.torn_writes = torn_writes_.load(std::memory_order_relaxed);
-    out.corrupted_writes = corrupted_writes_.load(std::memory_order_relaxed);
-    out.fsync_stall_millis =
-        fsync_stall_millis_.load(std::memory_order_relaxed);
-    out.link_drops = link_drops_.load(std::memory_order_relaxed);
-    out.link_duplicates = link_duplicates_.load(std::memory_order_relaxed);
-    out.link_delay_millis =
-        link_delay_millis_.load(std::memory_order_relaxed);
-    out.link_partitions = link_partitions_.load(std::memory_order_relaxed);
-    return out;
-  }
+  Counts counts() const { return counts_.Read(); }
 
  private:
   /// The plan's aggregate effect at the cluster's current time; zero-effect
@@ -256,17 +239,7 @@ class FaultInjector {
   std::mutex mu_;
   Random rng_;
 
-  std::atomic<int64_t> outage_rejections_{0};
-  std::atomic<int64_t> read_faults_{0};
-  std::atomic<int64_t> forced_too_old_{0};
-  std::atomic<int64_t> latency_spike_millis_{0};
-  std::atomic<int64_t> torn_writes_{0};
-  std::atomic<int64_t> corrupted_writes_{0};
-  std::atomic<int64_t> fsync_stall_millis_{0};
-  std::atomic<int64_t> link_drops_{0};
-  std::atomic<int64_t> link_duplicates_{0};
-  std::atomic<int64_t> link_delay_millis_{0};
-  std::atomic<int64_t> link_partitions_{0};
+  QUICK_LIVE_COUNTERS(QUICK_FDB_FAULT_COUNTS, Counts) counts_;
   /// Per-Op ordinal counters for scheduled disk faults (guarded by mu_).
   int64_t disk_op_counts_[2] = {0, 0};
   /// Replication-link send ordinal (guarded by mu_).

@@ -1,11 +1,11 @@
 #include "fdb/replication.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "fdb/checkpoint.h"
 #include "fdb/wal.h"
@@ -17,28 +17,16 @@ namespace {
 constexpr uint32_t kManifestMagic = 0x51464E43u;  // 'QFNC'
 constexpr uint32_t kManifestFormat = 1;
 
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
 bool ReadU32(std::string_view data, size_t* off, uint32_t* v) {
   if (data.size() - *off < 4) return false;
-  std::memcpy(v, data.data() + *off, 4);
+  *v = static_cast<uint32_t>(GetUint(data, *off, 4));
   *off += 4;
   return true;
 }
 
 bool ReadU64(std::string_view data, size_t* off, uint64_t* v) {
   if (data.size() - *off < 8) return false;
-  std::memcpy(v, data.data() + *off, 8);
+  *v = GetUint(data, *off, 8);
   *off += 8;
   return true;
 }
@@ -198,42 +186,33 @@ bool FencingService::IsPartitioned(const std::string& region) const {
 
 int ReplicationLink::Transfer(size_t bytes) {
   (void)bytes;
-  sends_.fetch_add(1, std::memory_order_relaxed);
+  stats_.sends.Increment();
   if (partitioned()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    stats_.dropped.Increment();
     return 0;
   }
   if (faults_ != nullptr) {
     if (std::optional<LinkFault> fault = faults_->NextLinkFault()) {
       switch (fault->kind) {
         case LinkFault::Kind::kDrop:
-          dropped_.fetch_add(1, std::memory_order_relaxed);
+          stats_.dropped.Increment();
           return 0;
         case LinkFault::Kind::kPartition:
           SetPartitioned(true);
-          dropped_.fetch_add(1, std::memory_order_relaxed);
+          stats_.dropped.Increment();
           return 0;
         case LinkFault::Kind::kDelay:
           if (clock_ != nullptr) clock_->SleepMillis(fault->delay_millis);
           break;
         case LinkFault::Kind::kDuplicate:
-          delivered_.fetch_add(2, std::memory_order_relaxed);
-          duplicated_.fetch_add(1, std::memory_order_relaxed);
+          stats_.delivered.Increment(2);
+          stats_.duplicated.Increment();
           return 2;
       }
     }
   }
-  delivered_.fetch_add(1, std::memory_order_relaxed);
+  stats_.delivered.Increment();
   return 1;
-}
-
-ReplicationLink::Stats ReplicationLink::stats() const {
-  Stats out;
-  out.sends = sends_.load(std::memory_order_relaxed);
-  out.delivered = delivered_.load(std::memory_order_relaxed);
-  out.dropped = dropped_.load(std::memory_order_relaxed);
-  out.duplicated = duplicated_.load(std::memory_order_relaxed);
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -315,7 +294,7 @@ Status ReplicaApplier::ApplyFrame(uint64_t epoch, std::string_view frame) {
                         "version " + std::to_string(version) +
                             " re-shipped with different bytes");
     }
-    frames_skipped_.fetch_add(1, std::memory_order_relaxed);
+    stats_.frames_skipped.Increment();
     return Status::OK();
   }
   if (version != applied + 1) {
@@ -332,7 +311,7 @@ Status ReplicaApplier::ApplyFrame(uint64_t epoch, std::string_view frame) {
   }
   applied_.store(version, std::memory_order_release);
   last_crc_ = crc;
-  frames_applied_.fetch_add(1, std::memory_order_relaxed);
+  stats_.frames_applied.Increment();
   return Status::OK();
 }
 
@@ -365,7 +344,7 @@ Status ReplicaApplier::InstallCheckpoint(uint64_t epoch, Version version,
   QUICK_RETURN_IF_ERROR(OpenSegmentLocked());
   applied_.store(version, std::memory_order_release);
   last_crc_ = 0;
-  checkpoints_installed_.fetch_add(1, std::memory_order_relaxed);
+  stats_.checkpoints_installed.Increment();
   return Status::OK();
 }
 
@@ -377,21 +356,12 @@ Status ReplicaApplier::Sync() {
   return st;
 }
 
-ReplicaApplier::Stats ReplicaApplier::stats() const {
-  Stats out;
-  out.frames_applied = frames_applied_.load(std::memory_order_relaxed);
-  out.frames_skipped = frames_skipped_.load(std::memory_order_relaxed);
-  out.checkpoints_installed =
-      checkpoints_installed_.load(std::memory_order_relaxed);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // LogShipper
 
 Status LogShipper::PumpOnce() {
   std::lock_guard<std::mutex> lock(mu_);
-  pumps_.fetch_add(1, std::memory_order_relaxed);
+  stats_.pumps.Increment();
   if (follower_->halted()) {
     return Status::FailedPrecondition("follower halted");
   }
@@ -415,7 +385,7 @@ Status LogShipper::PumpOnce() {
       if (link_->Transfer(blob->size()) == 0) return Status::OK();  // stalled
       QUICK_RETURN_IF_ERROR(
           follower_->InstallCheckpoint(epoch_, scan->version, *blob));
-      checkpoints_shipped_.fetch_add(1, std::memory_order_relaxed);
+      stats_.checkpoints_shipped.Increment();
       cur_seq_ = 0;
       cur_off_ = 0;
     }
@@ -465,7 +435,7 @@ Status LogShipper::PumpOnce() {
         const Status st = follower_->ApplyFrame(epoch_, rec.raw);
         if (!st.ok()) return st;
       }
-      frames_shipped_.fetch_add(1, std::memory_order_relaxed);
+      stats_.frames_shipped.Increment();
       shipped_any = true;
       cur_off_ = start_off + reader.offset();
     }
@@ -475,15 +445,6 @@ Status LogShipper::PumpOnce() {
   }
   if (shipped_any) return follower_->Sync();
   return Status::OK();
-}
-
-LogShipper::Stats LogShipper::stats() const {
-  Stats out;
-  out.pumps = pumps_.load(std::memory_order_relaxed);
-  out.frames_shipped = frames_shipped_.load(std::memory_order_relaxed);
-  out.checkpoints_shipped =
-      checkpoints_shipped_.load(std::memory_order_relaxed);
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,24 @@
 #include "fdb/fault_injector.h"
 #include "fdb/types.h"
 
+// Counters of the replication components, each named once (common/
+// metrics.h's declare-once lists).
+#define QUICK_FDB_REPLICATION_LINK_COUNTERS(X) \
+  X(sends)                                     \
+  X(delivered)                                 \
+  X(dropped)                                   \
+  X(duplicated)
+#define QUICK_FDB_REPLICA_APPLIER_COUNTERS(X)                        \
+  X(frames_applied)                                                  \
+  /* Frames at or below the applied version (duplicates / re-ships), \
+     verified and skipped. */                                        \
+  X(frames_skipped)                                                  \
+  X(checkpoints_installed)
+#define QUICK_FDB_LOG_SHIPPER_COUNTERS(X) \
+  X(pumps)                                \
+  X(frames_shipped)                       \
+  X(checkpoints_shipped)
+
 namespace quick::fdb {
 
 /// Warm-standby replication and fenced region failover (DESIGN.md §10).
@@ -146,10 +164,7 @@ class FencingService {
 class ReplicationLink {
  public:
   struct Stats {
-    int64_t sends = 0;
-    int64_t delivered = 0;
-    int64_t dropped = 0;
-    int64_t duplicated = 0;
+    QUICK_FDB_REPLICATION_LINK_COUNTERS(QUICK_STAT_FIELD)
   };
 
   ReplicationLink(FaultInjector* faults, Clock* clock)
@@ -167,16 +182,13 @@ class ReplicationLink {
     return partitioned_.load(std::memory_order_acquire);
   }
 
-  Stats stats() const;
+  Stats stats() const { return stats_.Read(); }
 
  private:
   FaultInjector* const faults_;
   Clock* const clock_;
   std::atomic<bool> partitioned_{false};
-  std::atomic<int64_t> sends_{0};
-  std::atomic<int64_t> delivered_{0};
-  std::atomic<int64_t> dropped_{0};
-  std::atomic<int64_t> duplicated_{0};
+  QUICK_LIVE_COUNTERS(QUICK_FDB_REPLICATION_LINK_COUNTERS, Stats) stats_;
 };
 
 /// A standby region's apply loop: receives framed WAL records (and whole
@@ -193,11 +205,7 @@ class ReplicaApplier {
   };
 
   struct Stats {
-    int64_t frames_applied = 0;
-    /// Frames at or below the applied version (duplicates / re-ships),
-    /// verified and skipped.
-    int64_t frames_skipped = 0;
-    int64_t checkpoints_installed = 0;
+    QUICK_FDB_REPLICA_APPLIER_COUNTERS(QUICK_STAT_FIELD)
   };
 
   explicit ReplicaApplier(Options options) : options_(std::move(options)) {}
@@ -237,7 +245,7 @@ class ReplicaApplier {
   bool halted() const { return halted_.load(std::memory_order_acquire); }
   const std::string& dir() const { return options_.dir; }
   const std::string& region() const { return options_.region; }
-  Stats stats() const;
+  Stats stats() const { return stats_.Read(); }
 
  private:
   Status OpenSegmentLocked();
@@ -255,9 +263,7 @@ class ReplicaApplier {
   uint32_t last_crc_ = 0;
   std::atomic<Version> applied_{0};
   std::atomic<bool> halted_{false};
-  std::atomic<int64_t> frames_applied_{0};
-  std::atomic<int64_t> frames_skipped_{0};
-  std::atomic<int64_t> checkpoints_installed_{0};
+  QUICK_LIVE_COUNTERS(QUICK_FDB_REPLICA_APPLIER_COUNTERS, Stats) stats_;
 };
 
 /// Tails the primary's WAL directory and ships each published record to
@@ -272,9 +278,7 @@ class ReplicaApplier {
 class LogShipper {
  public:
   struct Stats {
-    int64_t pumps = 0;
-    int64_t frames_shipped = 0;
-    int64_t checkpoints_shipped = 0;
+    QUICK_FDB_LOG_SHIPPER_COUNTERS(QUICK_STAT_FIELD)
   };
 
   LogShipper(Database* primary, ReplicaApplier* follower,
@@ -290,7 +294,7 @@ class LogShipper {
   /// stalled link — the next pump retries from the same position).
   Status PumpOnce();
 
-  Stats stats() const;
+  Stats stats() const { return stats_.Read(); }
 
  private:
   Database* const primary_;
@@ -304,9 +308,7 @@ class LogShipper {
   uint64_t cur_seq_ = 0;
   uint64_t cur_off_ = 0;
 
-  std::atomic<int64_t> pumps_{0};
-  std::atomic<int64_t> frames_shipped_{0};
-  std::atomic<int64_t> checkpoints_shipped_{0};
+  QUICK_LIVE_COUNTERS(QUICK_FDB_LOG_SHIPPER_COUNTERS, Stats) stats_;
 };
 
 struct ReplicationGroupOptions {

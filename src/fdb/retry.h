@@ -26,6 +26,14 @@ inline constexpr const char* kRetryCounterName = "fdb.txn.retries";
 inline constexpr const char* kRetryExhaustedCounterName =
     "fdb.txn.retries_exhausted";
 
+namespace internal {
+
+/// The two retry counters, resolved once on first use (retry.cc).
+Counter* RetriesCounter();
+Counter* RetriesExhaustedCounter();
+
+}  // namespace internal
+
 /// Canonical FoundationDB retry loop: runs `body` against a fresh
 /// transaction, commits, and on retryable failures (conflicts, too-old,
 /// unknown-result, transient unavailability) backs off and re-executes.
@@ -52,9 +60,7 @@ Status RunTransaction(Database* db, const TransactionOptions& topts, Body&& body
     if (!retry.ok()) return retry;  // non-retryable: surface the error
     retries->Increment();
   }
-  MetricsRegistry::Default()
-      ->GetCounter(kRetryExhaustedCounterName)
-      ->Increment();
+  internal::RetriesExhaustedCounter()->Increment();
   return Status::TimedOut(
       "transaction retry budget exhausted after " +
       std::to_string(max_attempts) + " attempts; last error: " +
@@ -116,16 +122,14 @@ inline void AsyncTxnResolve(const std::shared_ptr<AsyncTxnState>& s,
     return;
   }
   if (++s->attempt >= s->max_attempts) {
-    MetricsRegistry::Default()
-        ->GetCounter(kRetryExhaustedCounterName)
-        ->Increment();
+    RetriesExhaustedCounter()->Increment();
     s->promise.Set(Status::TimedOut(
         "transaction retry budget exhausted after " +
         std::to_string(s->max_attempts) + " attempts; last error: " +
         s->last_error.ToString()));
     return;
   }
-  MetricsRegistry::Default()->GetCounter(kRetryCounterName)->Increment();
+  RetriesCounter()->Increment();
   s->executor->PostAfter(*delay, [s] { AsyncTxnStep(s); });
 }
 

@@ -4,37 +4,12 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace quick::fdb {
 
 namespace {
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xFF));
-  out->push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-uint64_t GetUint(std::string_view data, size_t offset, size_t width) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < width; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(data[offset + i]))
-         << (8 * i);
-  }
-  return v;
-}
 
 void PutBytes(std::string* out, const std::string& bytes) {
   PutU32(out, static_cast<uint32_t>(bytes.size()));
@@ -246,7 +221,7 @@ Status Wal::OpenSegmentLocked() {
   prev_offset_ = kNoPrevOffset;
   current_max_version_ = 0;
   current_segment_bytes_.store(0, std::memory_order_relaxed);
-  segments_created_.fetch_add(1, std::memory_order_relaxed);
+  stats_.segments_created.Increment();
   return Status::OK();
 }
 
@@ -309,9 +284,8 @@ Result<uint64_t> Wal::AppendBatch(const WalBatchRef& batch) {
   current_max_version_ = std::max(current_max_version_, batch.version);
   current_segment_bytes_.fetch_add(static_cast<int64_t>(record.size()),
                                    std::memory_order_relaxed);
-  appends_.fetch_add(1, std::memory_order_relaxed);
-  appended_bytes_.fetch_add(static_cast<int64_t>(record.size()),
-                            std::memory_order_relaxed);
+  stats_.appends.Increment();
+  stats_.appended_bytes.Increment(static_cast<int64_t>(record.size()));
   appended_end_ += record.size();
   return appended_end_;
 }
@@ -325,7 +299,7 @@ Status Wal::SyncTo(uint64_t end) {
     }
     if (synced_end_ >= end) {
       if (!did_sync) {
-        fsyncs_coalesced_.fetch_add(1, std::memory_order_relaxed);
+        stats_.fsyncs_coalesced.Increment();
         coalesced_counter_->Increment();
       }
       return Status::OK();
@@ -357,7 +331,7 @@ Status Wal::SyncTo(uint64_t end) {
       return st;
     }
     synced_end_ = std::max(synced_end_, target);
-    syncs_.fetch_add(1, std::memory_order_relaxed);
+    stats_.syncs.Increment();
     did_sync = true;
   }
 }
@@ -389,7 +363,7 @@ Status Wal::RollSegment(Version checkpoint_version) {
       return st;
     }
     synced_end_ = appended_end_;
-    syncs_.fetch_add(1, std::memory_order_relaxed);
+    stats_.syncs.Increment();
     sync_cv_.notify_all();
   }
   closed_segments_[seq_] = current_max_version_;
@@ -399,7 +373,7 @@ Status Wal::RollSegment(Version checkpoint_version) {
   for (auto it = closed_segments_.begin(); it != closed_segments_.end();) {
     if (it->second <= checkpoint_version) {
       (void)RemoveFile(dir_ + "/" + WalSegmentName(it->first));
-      segments_deleted_.fetch_add(1, std::memory_order_relaxed);
+      stats_.segments_deleted.Increment();
       it = closed_segments_.erase(it);
     } else {
       ++it;
@@ -407,17 +381,6 @@ Status Wal::RollSegment(Version checkpoint_version) {
   }
   (void)SyncDir(dir_);
   return Status::OK();
-}
-
-Wal::Stats Wal::GetStats() const {
-  Stats out;
-  out.appends = appends_.load(std::memory_order_relaxed);
-  out.appended_bytes = appended_bytes_.load(std::memory_order_relaxed);
-  out.syncs = syncs_.load(std::memory_order_relaxed);
-  out.fsyncs_coalesced = fsyncs_coalesced_.load(std::memory_order_relaxed);
-  out.segments_created = segments_created_.load(std::memory_order_relaxed);
-  out.segments_deleted = segments_deleted_.load(std::memory_order_relaxed);
-  return out;
 }
 
 Result<WalReplayResult> ReplayWalDir(

@@ -128,17 +128,22 @@ class SegmentReader {
   Status status_ = Status::OK();
 };
 
+/// The WAL's counters, named once (common/metrics.h's declare-once lists);
+/// Database::Stats carries each as wal_<name>.
+#define QUICK_FDB_WAL_COUNTERS(X)                                     \
+  X(appends)                                                          \
+  X(appended_bytes)                                                   \
+  X(syncs)                                                            \
+  /* SyncTo calls satisfied by another caller's fsync (group fsync    \
+     coalescing: one fsync covers every batch appended behind it). */ \
+  X(fsyncs_coalesced)                                                 \
+  X(segments_created)                                                 \
+  X(segments_deleted)
+
 class Wal {
  public:
   struct Stats {
-    int64_t appends = 0;
-    int64_t appended_bytes = 0;
-    int64_t syncs = 0;
-    /// SyncTo calls satisfied by another caller's fsync (group fsync
-    /// coalescing: one fsync covers every batch appended behind it).
-    int64_t fsyncs_coalesced = 0;
-    int64_t segments_created = 0;
-    int64_t segments_deleted = 0;
+    QUICK_FDB_WAL_COUNTERS(QUICK_STAT_FIELD)
   };
 
   /// `dir` must exist. `start_seq` must exceed every existing segment's
@@ -193,7 +198,7 @@ class Wal {
     return current_segment_bytes_.load(std::memory_order_relaxed);
   }
 
-  Stats GetStats() const;
+  Stats GetStats() const { return stats_.Read(); }
 
  private:
   Status OpenSegmentLocked();
@@ -226,12 +231,7 @@ class Wal {
   std::atomic<bool> dead_{false};
   std::atomic<int64_t> current_segment_bytes_{0};
 
-  std::atomic<int64_t> appends_{0};
-  std::atomic<int64_t> appended_bytes_{0};
-  std::atomic<int64_t> syncs_{0};
-  std::atomic<int64_t> fsyncs_coalesced_{0};
-  std::atomic<int64_t> segments_created_{0};
-  std::atomic<int64_t> segments_deleted_{0};
+  QUICK_LIVE_COUNTERS(QUICK_FDB_WAL_COUNTERS, Stats) stats_;
 };
 
 /// Per-segment outcome of a replay pass (diagnostics + Wal seeding).

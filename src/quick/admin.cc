@@ -10,6 +10,23 @@
 
 namespace quick::core {
 
+namespace {
+
+/// quick.deadletter.* registry counters, resolved on first use.
+Counter* RequeuedMetric() {
+  static Counter* const counter =
+      MetricsRegistry::Default()->GetCounter("quick.deadletter.requeued");
+  return counter;
+}
+
+Counter* PurgedMetric() {
+  static Counter* const counter =
+      MetricsRegistry::Default()->GetCounter("quick.deadletter.purged");
+  return counter;
+}
+
+}  // namespace
+
 Result<QuickAdmin::TenantQueueInfo> QuickAdmin::InspectTenant(
     const ck::DatabaseId& db_id) {
   ck::CloudKitService* ck = quick_->cloudkit();
@@ -255,8 +272,7 @@ Status QuickAdmin::RequeueDeadLetter(const ck::DatabaseId& db_id,
                  hooks.NowMicros(), "db=" + db_id.ToString());
   }
   quick_->ExecuteFollowUp(db, follow_up);
-  MetricsRegistry::Default()->GetCounter("quick.deadletter.requeued")
-      ->Increment();
+  RequeuedMetric()->Increment();
   return Status::OK();
 }
 
@@ -284,8 +300,7 @@ Status QuickAdmin::PurgeDeadLetter(const ck::DatabaseId& db_id,
     return zone.PurgeDeadLetter(item_id);
   });
   QUICK_RETURN_IF_ERROR(st);
-  MetricsRegistry::Default()->GetCounter("quick.deadletter.purged")
-      ->Increment();
+  PurgedMetric()->Increment();
   return Status::OK();
 }
 
@@ -341,8 +356,7 @@ Status QuickAdmin::RequeueClusterDeadLetter(const std::string& cluster_name,
   QUICK_RETURN_IF_ERROR(st);
   const TraceHooks hooks(quick_->tracer(), quick_->clock(), "admin");
   hooks.Mark(item_id, stage::kDeadLetterRequeued, "cluster=" + cluster_name);
-  MetricsRegistry::Default()->GetCounter("quick.deadletter.requeued")
-      ->Increment();
+  RequeuedMetric()->Increment();
   return Status::OK();
 }
 
@@ -359,8 +373,7 @@ Status QuickAdmin::PurgeClusterDeadLetter(const std::string& cluster_name,
     return top.PurgeDeadLetter(item_id);
   });
   QUICK_RETURN_IF_ERROR(st);
-  MetricsRegistry::Default()->GetCounter("quick.deadletter.purged")
-      ->Increment();
+  PurgedMetric()->Increment();
   return Status::OK();
 }
 

@@ -12,8 +12,9 @@ struct QuickConfig {
   /// Zone name used for the per-database work queue Q_DB.
   std::string queue_zone_name = "_queue";
   /// Use the strict-FIFO schema for tenant queue zones (§5's commit-order
-  /// extension). Consumers serving these zones must set
-  /// ConsumerConfig::fifo_tenant_zones accordingly.
+  /// extension). Consumers read this switch too: they then dequeue
+  /// tenant-zone items in strict enqueue-commit order instead of
+  /// (priority, vesting) order.
   bool fifo_tenant_zones = false;
   /// Zone name of the top-level queue Q_C inside each ClusterDB.
   std::string top_zone_name = "_quick_q";
@@ -102,10 +103,6 @@ struct ConsumerConfig {
   /// individual work items without first leasing the queue's pointer
   /// (ATF-style, §7). Leave false for QuiCK behaviour.
   bool item_level_leases_only = false;
-  /// Dequeue tenant-zone items in strict enqueue-commit order instead of
-  /// (priority, vesting) order. Requires every tenant queue zone to use
-  /// the FIFO schema (ZoneType::kFifoQueue / QueueZone(..., fifo=true)).
-  bool fifo_tenant_zones = false;
   /// Per-cluster health tracking / circuit breaking (see
   /// CircuitBreakerConfig).
   CircuitBreakerConfig breaker;

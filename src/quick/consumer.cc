@@ -30,6 +30,13 @@ tup::Subspace ZoneSubspaceOf(const Pointer& pointer) {
       .Sub(pointer.zone);
 }
 
+/// quick.deadletter.* registry counters, resolved on first use.
+Counter* QuarantinedMetric() {
+  static Counter* const counter =
+      MetricsRegistry::Default()->GetCounter("quick.deadletter.quarantined");
+  return counter;
+}
+
 }  // namespace
 
 Consumer::Consumer(Quick* quick, std::vector<std::string> cluster_names,
@@ -638,9 +645,7 @@ void Consumer::HandlePointer(TopChain chain) {
             hooks_.Mark(chain.pointer.id, stage::kFenced, "corrupt_pointer");
           } else if (st.ok()) {
             stats_.items_quarantined.Increment();
-            MetricsRegistry::Default()
-                ->GetCounter("quick.deadletter.quarantined")
-                ->Increment();
+            QuarantinedMetric()->Increment();
             hooks_.Mark(chain.pointer.id, stage::kQuarantined,
                         "corrupt_pointer");
           }
@@ -741,13 +746,12 @@ Status Consumer::DequeueBody(fdb::Transaction& txn, const ck::DatabaseId& db_id,
     std::optional<ck::MoveState> state = ck::MoveState::Decode(*fence);
     if (state.has_value() && state->FencesEnqueues()) return Status::OK();
   }
-  ck::QueueZone zone(&txn, zone_subspace, quick_->clock(),
-                     config_.fifo_tenant_zones);
+  const bool fifo = quick_->config().fifo_tenant_zones;
+  ck::QueueZone zone(&txn, zone_subspace, quick_->clock(), fifo);
   QUICK_ASSIGN_OR_RETURN(
       out->items,
-      config_.fifo_tenant_zones
-          ? zone.DequeueFifo(config_.dequeue_max, config_.item_lease_millis)
-          : zone.Dequeue(config_.dequeue_max, config_.item_lease_millis));
+      fifo ? zone.DequeueFifo(config_.dequeue_max, config_.item_lease_millis)
+           : zone.Dequeue(config_.dequeue_max, config_.item_lease_millis));
   QUICK_ASSIGN_OR_RETURN(out->min_vesting, zone.MinVestingTime());
   return Status::OK();
 }
@@ -773,7 +777,7 @@ void Consumer::DispatchDequeued(const TopChain& chain, const Pointer& pointer,
     job.db_id = pointer.db_id;
     job.zone_name = pointer.zone;
     job.zone_subspace = zone_subspace;
-    job.fifo_zone = config_.fifo_tenant_zones;
+    job.fifo_zone = quick_->config().fifo_tenant_zones;
     job.leased = std::move(li);
     job.mode = chain.mode;
     DispatchWorkerJob(std::move(job));
@@ -815,7 +819,7 @@ void Consumer::RequeueOrGcPointer(const TopChain& chain, bool found_items,
           // consumer holds the lease — so the stale value would park an
           // already-vested continuation behind a full item lease.
           ck::QueueZone zone(&txn, zone_subspace, quick_->clock(),
-                             config_.fifo_tenant_zones);
+                             quick_->config().fifo_tenant_zones);
           QUICK_ASSIGN_OR_RETURN(std::optional<int64_t> fresh,
                                  zone.MinVestingTime());
           const std::optional<int64_t>& effective =
@@ -856,7 +860,7 @@ void Consumer::RequeueOrGcPointer(const TopChain& chain, bool found_items,
   auto txn = std::make_shared<fdb::Transaction>(
       Cluster(chain.cluster)->CreateTransaction());
   ck::QueueZone zone(txn.get(), zone_subspace, quick_->clock(),
-                     config_.fifo_tenant_zones);
+                     quick_->config().fifo_tenant_zones);
   Result<bool> empty = zone.IsEmpty();
   if (!empty.ok() || !*empty) {
     if (empty.ok()) stats_.pointer_gc_aborted.Increment();  // item arrived
@@ -1230,18 +1234,17 @@ void Consumer::FinishTerminalFailure(std::shared_ptr<const WorkerJob> job,
                           s.continuation_ids);
         if (quarantine) {
           stats_.items_quarantined.Increment();
-          MetricsRegistry::Default()
-              ->GetCounter("quick.deadletter.quarantined")
-              ->Increment();
+          QuarantinedMetric()->Increment();
           hooks_.Record(job->leased.item.id, stage::kQuarantined,
                         s.start_micros, s.end_micros, reason);
           RaiseAlert(Alert::Kind::kQuarantined, *job, final_attempts,
                      std::string(reason) + ": " + why);
         } else {
           stats_.items_dropped_permanent.Increment();
-          MetricsRegistry::Default()
-              ->GetCounter("quick.deadletter.dropped_legacy")
-              ->Increment();
+          static Counter* const dropped_legacy =
+              MetricsRegistry::Default()->GetCounter(
+                  "quick.deadletter.dropped_legacy");
+          dropped_legacy->Increment();
           hooks_.Record(job->leased.item.id, stage::kDropped, s.start_micros,
                         s.end_micros, reason);
           RaiseAlert(legacy_kind, *job, final_attempts, why);
@@ -1295,8 +1298,15 @@ void Consumer::FinishStep(std::shared_ptr<const WorkerJob> job,
 // ---------------------------------------------------------------------------
 
 void Consumer::ExtenderLoop() {
+  // One round per interval of the consumer's clock, slept in slices so
+  // Stop() is noticed within a slice instead of a whole interval; a
+  // ManualClock still advances by exactly the interval per round.
+  constexpr int64_t kStopCheckMillis = 10;
   while (running_.load()) {
-    quick_->clock()->SleepMillis(config_.lease_extension_interval_millis);
+    for (int64_t left = config_.lease_extension_interval_millis;
+         left > 0 && running_.load(); left -= kStopCheckMillis) {
+      quick_->clock()->SleepMillis(std::min(left, kStopCheckMillis));
+    }
     if (!running_.load()) break;
     ExtendOnce();
   }

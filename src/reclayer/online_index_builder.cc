@@ -1,5 +1,7 @@
 #include "reclayer/online_index_builder.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
 #include "fdb/retry.h"
 
@@ -66,11 +68,19 @@ Status OnlineIndexBuilder::Build() {
   }
 
   // Batched backfill with a persisted resume cursor. Every batch is its
-  // own transaction: it strongly reads a page of records (so concurrent
-  // updates to them abort and retry the batch) and writes their entries.
+  // own transaction: it conflicts on the page of records it reads (so
+  // concurrent updates to them abort and retry the batch) and writes their
+  // entries. The page adapts to contention, as the Record Layer's online
+  // indexer does: a batch retried after losing to concurrent writers reads
+  // half as many records (down to one), and each committed batch lets the
+  // next grow back toward options_.batch_size.
+  int limit = std::max(options_.batch_size, 1);
   while (true) {
     bool done = false;
+    bool retried = false;
     Status st = fdb::RunTransaction(db_, [&](fdb::Transaction& txn) {
+      if (retried) limit = std::max(limit / 2, 1);
+      retried = true;
       RecordStore store(&txn, store_subspace_, metadata_);
       QUICK_ASSIGN_OR_RETURN(std::optional<std::string> cursor_bytes,
                              txn.Get(CursorKey(store, index_name_)));
@@ -81,16 +91,12 @@ Status OnlineIndexBuilder::Build() {
         cursor = std::move(t);
       }
       QUICK_ASSIGN_OR_RETURN(std::vector<StoredRecord> page,
-                             store.ScanRecordsPage(cursor,
-                                                   options_.batch_size));
+                             store.ScanRecordsPage(cursor, limit));
       for (const StoredRecord& row : page) {
         QUICK_RETURN_IF_ERROR(
             store.BackfillIndexEntry(index_name_, row.record));
       }
-      if (page.empty() ||
-          static_cast<int>(page.size()) < options_.batch_size) {
-        done = true;
-      }
+      done = static_cast<int>(page.size()) < limit;
       if (!page.empty()) {
         txn.Set(CursorKey(store, index_name_),
                 page.back().primary_key.Encode());
@@ -99,6 +105,7 @@ Status OnlineIndexBuilder::Build() {
     });
     QUICK_RETURN_IF_ERROR(st);
     if (done) break;
+    limit = std::min(limit * 2, std::max(options_.batch_size, 1));
   }
   return SetState(IndexState::kReadable);
 }

@@ -29,9 +29,9 @@ enum class IndexState : int64_t {
 ///      scans are rejected.
 ///   2. Call Build: scans existing records in batches (each batch its own
 ///      transaction with a resume cursor), writing the missing entries.
-///      Concurrent record updates are safe: a batch strongly reads the
+///      Concurrent record updates are safe: a batch conflicts on the
 ///      records it indexes, so a racing update aborts the batch, which
-///      retries.
+///      retries with a smaller page.
 ///   3. Build finishes by marking the index readable.
 ///
 /// Build is resumable and idempotent — exactly what at-least-once QuiCK
@@ -39,6 +39,7 @@ enum class IndexState : int64_t {
 class OnlineIndexBuilder {
  public:
   struct Options {
+    /// Records per batch; a retried batch halves it, down to one.
     int batch_size = 64;
   };
 

@@ -261,7 +261,15 @@ Result<std::vector<StoredRecord>> RecordStore::ScanRecordsPage(
   fdb::RangeOptions opts;
   opts.limit = limit;
   QUICK_ASSIGN_OR_RETURN(std::vector<fdb::KeyValue> kvs,
-                         txn_->GetRange(range, opts));
+                         txn_->GetRange(range, opts, /*snapshot=*/true));
+  // A full page depends on no record past its last key, so the read
+  // conflict stops there: writes to records the backfill has not reached
+  // yet must not abort the batch. A short page read to the end of the
+  // store and conflicts on all of it.
+  if (limit > 0 && static_cast<int>(kvs.size()) >= limit) {
+    range.end = KeyAfter(kvs.back().key);
+  }
+  txn_->AddReadConflictRange(range);
   std::vector<StoredRecord> out;
   out.reserve(kvs.size());
   for (const fdb::KeyValue& kv : kvs) {

@@ -97,7 +97,8 @@ class RecordStore {
   Result<std::vector<Record>> ScanRecords(int limit = 0);
 
   /// A page of records strictly after `after_primary_key` (nullopt starts
-  /// from the beginning) — the online index builder's resumable scan.
+  /// from the beginning) — the online index builder's resumable scan. The
+  /// read conflict covers only the keys the page spans.
   Result<std::vector<StoredRecord>> ScanRecordsPage(
       const std::optional<tup::Tuple>& after_primary_key, int limit);
 

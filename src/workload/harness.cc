@@ -51,7 +51,7 @@ void Harness::Build() {
   db_opts.clock = SystemClock::Default();
   db_opts.latency = options_.latency;
   db_opts.grv_cache_staleness_millis = options_.grv_cache_staleness_millis;
-  db_opts.enable_group_commit = options_.enable_group_commit;
+  db_opts.max_commit_batch = options_.max_commit_batch;
   db_opts.fault_plan = options_.fault_plan;
   clusters_ = std::make_unique<fdb::ClusterSet>(db_opts);
   const bool replicated =

@@ -28,9 +28,10 @@ struct HarnessOptions {
   int64_t work_millis = 2;
   /// GRV cache staleness for relaxed reads.
   int64_t grv_cache_staleness_millis = 50;
-  /// Group-commit on the simulated clusters (benches toggle it to measure
-  /// the commit-path batching win).
-  bool enable_group_commit = true;
+  /// Group-commit batch cap on the simulated clusters
+  /// (Database::Options::max_commit_batch; benches set 1 to measure the
+  /// commit-path batching win).
+  int max_commit_batch = 128;
   /// Enqueue follow-up slack (QuickConfig::pointer_vesting_slack_millis),
   /// scaled down with the rest of the time base.
   int64_t pointer_vesting_slack_millis = 50;

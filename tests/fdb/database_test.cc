@@ -206,28 +206,26 @@ TEST(DatabaseTest, ChurnConvergesUnderWindowDrivenPruning) {
   EXPECT_LE(db.TotalEntryCount(), 3u);
 }
 
+// The cluster's interval resolver decides a read-write conflict the way
+// the legacy linear ConflictTracker did; resolver_differential_test checks
+// the two against each other over random histories.
 TEST(DatabaseTest, ResolverKindLegacyGivesSameOutcomes) {
-  for (auto kind : {Database::ResolverKind::kInterval,
-                    Database::ResolverKind::kLegacyLinear}) {
-    Database::Options opts;
-    opts.resolver = kind;
-    Database db("res", opts);
-    {
-      Transaction t = db.CreateTransaction();
-      t.Set("k", "v0");
-      ASSERT_TRUE(t.Commit().ok());
-    }
-    Transaction loser = db.CreateTransaction();
-    ASSERT_TRUE(loser.Get("k").ok());
-    loser.Set("out", "x");
-    {
-      Transaction winner = db.CreateTransaction();
-      winner.Set("k", "v1");
-      ASSERT_TRUE(winner.Commit().ok());
-    }
-    EXPECT_TRUE(loser.Commit().IsNotCommitted());
-    EXPECT_GE(db.ResolverTrackedCount(), 1u);
+  Database db("res");
+  {
+    Transaction t = db.CreateTransaction();
+    t.Set("k", "v0");
+    ASSERT_TRUE(t.Commit().ok());
   }
+  Transaction loser = db.CreateTransaction();
+  ASSERT_TRUE(loser.Get("k").ok());
+  loser.Set("out", "x");
+  {
+    Transaction winner = db.CreateTransaction();
+    winner.Set("k", "v1");
+    ASSERT_TRUE(winner.Commit().ok());
+  }
+  EXPECT_TRUE(loser.Commit().IsNotCommitted());
+  EXPECT_GE(db.ResolverTrackedCount(), 1u);
 }
 
 TEST(ClusterSetTest, AddAndGet) {

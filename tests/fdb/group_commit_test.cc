@@ -54,7 +54,7 @@ TEST(GroupCommitTest, SingleCommitsAreBatchesOfOne) {
 
 TEST(GroupCommitTest, DisabledMatchesLegacyVersionPerCommit) {
   Database::Options opts;
-  opts.enable_group_commit = false;
+  opts.max_commit_batch = 1;
   Database db("nogroup", opts);
   for (int i = 0; i < 3; ++i) {
     Transaction t = db.CreateTransaction();

@@ -27,7 +27,7 @@ class SerializabilityTest : public ::testing::TestWithParam<bool> {
  protected:
   Database::Options Opts() const {
     Database::Options opts;
-    opts.enable_group_commit = GetParam();
+    if (!GetParam()) opts.max_commit_batch = 1;  // batches of one
     return opts;
   }
 };

@@ -584,8 +584,12 @@ TEST_P(PipelinePathTest, ThrottleRequeuesItemsOverTheTypeCap) {
   }
   auto consumer = MakeConsumer(AsyncConfig());
   consumer_ptr = consumer.get();
-  EXPECT_TRUE(DriveUntil(consumer.get(),
-                         [&] { return ExecutedCount() >= kItems; }));
+  // Waits for the completions to commit too: a pipelined Stop() abandons a
+  // finish transaction still in flight, leaving its item in the zone.
+  EXPECT_TRUE(DriveUntil(consumer.get(), [&] {
+    return ExecutedCount() >= kItems &&
+           quick_->PendingCount(Tenant(0)).value_or(-1) == 0;
+  }));
   EXPECT_EQ(peak.load(), 1);
   EXPECT_EQ(quick_->PendingCount(Tenant(0)).value_or(-1), 0);
   if (Pipelined()) {
@@ -631,8 +635,15 @@ TEST_P(PipelinePathTest, DispatchGateRequeuesRefusedItems) {
     MustEnqueue(Tenant(i), "track", std::to_string(i));
   }
   auto consumer = MakeConsumer(AsyncConfig());
-  EXPECT_TRUE(DriveUntil(consumer.get(),
-                         [&] { return ExecutedCount() >= kTenants; }));
+  // Waits for the completions to commit too (see
+  // ThrottleRequeuesItemsOverTheTypeCap).
+  EXPECT_TRUE(DriveUntil(consumer.get(), [&] {
+    if (ExecutedCount() < kTenants) return false;
+    for (int i = 0; i < kTenants; ++i) {
+      if (quick_->PendingCount(Tenant(i)).value_or(-1) != 0) return false;
+    }
+    return true;
+  }));
   quick_->set_admission(nullptr);
   EXPECT_EQ(consumer->stats().items_dispatch_throttled.Value(), kRefusals);
   for (int i = 0; i < kTenants; ++i) {
@@ -659,7 +670,6 @@ TEST_P(PipelinePathTest, FifoZonesRunInEnqueueOrder) {
     }
   }
   core::ConsumerConfig config = AsyncConfig();
-  config.fifo_tenant_zones = true;
   // One worker: execution order is dispatch order, which FIFO fixes.
   config.num_worker_threads = 1;
   auto consumer = MakeConsumer(config);

@@ -1,7 +1,6 @@
-// End-to-end FIFO tenant zones: QuickConfig::fifo_tenant_zones +
-// ConsumerConfig::fifo_tenant_zones make the whole pipeline — enqueue,
-// dequeue, retry, GC — run over the strict-commit-order schema (§5's
-// commit-timestamp extension).
+// End-to-end FIFO tenant zones: QuickConfig::fifo_tenant_zones makes the
+// whole pipeline — enqueue, dequeue, retry, GC — run over the
+// strict-commit-order schema (§5's commit-timestamp extension).
 
 #include <gtest/gtest.h>
 
@@ -32,7 +31,6 @@ class FifoConsumerTest : public ::testing::Test {
     ConsumerConfig config;
     config.sequential = true;
     config.relaxed_reads_for_peek = false;
-    config.fifo_tenant_zones = true;
     config.dequeue_max = 2;
     return config;
   }

@@ -362,7 +362,6 @@ TEST_F(QuarantineTest, FifoZoneExhaustionKeepsArrivalOrderConsistent) {
   ASSERT_TRUE(quick_->Enqueue(db, first, 0).ok());
 
   ConsumerConfig config = TestConfig();
-  config.fifo_tenant_zones = true;
   Consumer consumer(quick_.get(), {"c1"}, &registry_, config, "fifo");
   ASSERT_TRUE(consumer.RunOnePass("c1").ok());  // exhausted -> legacy drop
   ASSERT_EQ(quick_->PendingCount(db).value(), 0);
@@ -416,7 +415,6 @@ TEST_F(QuarantineTest, FifoZoneQuarantineClearsArrivalStampToo) {
   ASSERT_TRUE(quick_->Enqueue(db, item, 0).ok());
 
   ConsumerConfig config = TestConfig();
-  config.fifo_tenant_zones = true;
   Consumer consumer(quick_.get(), {"c1"}, &registry_, config, "fifo");
   ASSERT_TRUE(consumer.RunOnePass("c1").ok());
   EXPECT_EQ(consumer.stats().items_quarantined.Value(), 1);

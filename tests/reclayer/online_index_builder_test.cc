@@ -126,9 +126,12 @@ TEST_F(OnlineIndexBuilderTest, WritesDuringBuildAreIndexedOnce) {
       ++i;
     }
   });
-  ASSERT_TRUE(builder.Build().ok());
+  // Stop the writer before asserting: returning with it still joinable
+  // would terminate the process instead of reporting the failure.
+  const Status build = builder.Build();
   stop.store(true);
   writer.join();
+  ASSERT_TRUE(build.ok()) << build;
 
   // Invariant: exactly one index entry per record, pointing at the
   // record's current title.
