@@ -194,41 +194,58 @@ void BM_QueueZoneEnqueue(benchmark::State& state) {
 }
 BENCHMARK(BM_QueueZoneEnqueue);
 
+// Dequeue(1) + Complete against a zone holding `backlog` vested items; each
+// iteration enqueues a replacement, so the backlog stays put. Reports the
+// index entries each Dequeue(1) reads (rl.index.entries_read): a count, so
+// bench-smoke can gate that it does not grow with the backlog on any host.
 void BM_QueueZoneDequeueComplete(benchmark::State& state) {
+  const int64_t backlog = state.range(0);
   fdb::Database db("bench");
   const tup::Subspace subspace(tup::Tuple().AddString("qz"));
-  // Pre-fill enough for the measured iterations.
-  {
+  int64_t next_id = 0;
+  auto enqueue = [&](ck::QueueZone& zone) {
+    ck::QueuedItem item;
+    item.id = "item" + std::to_string(next_id++);
+    item.job_type = "bench";
+    return zone.Enqueue(item, 0).status();
+  };
+  // Pre-fill in chunks well under the transaction size limit.
+  while (next_id < backlog) {
     Status st = fdb::RunTransaction(&db, [&](fdb::Transaction& txn) {
       ck::QueueZone zone(&txn, subspace, SystemClock::Default());
-      for (int i = 0; i < 512; ++i) {
-        ck::QueuedItem item;
-        item.job_type = "bench";
-        QUICK_RETURN_IF_ERROR(zone.Enqueue(item, 0).status());
+      for (int i = 0; i < 1024 && next_id < backlog; ++i) {
+        QUICK_RETURN_IF_ERROR(enqueue(zone));
       }
       return Status::OK();
     });
     (void)st;
   }
-  int64_t refill = 0;
+  const Counter* entries = rl::IndexEntriesReadCounter();
+  int64_t entries_read = 0;
   for (auto _ : state) {
     fdb::Transaction txn = db.CreateTransaction();
     ck::QueueZone zone(&txn, subspace, SystemClock::Default());
+    const int64_t before = entries->Value();
     auto batch = zone.Dequeue(1, 10000);
+    entries_read += entries->Value() - before;
     if (batch.ok() && !batch->empty()) {
       (void)zone.Complete((*batch)[0].item.id, (*batch)[0].lease_id);
-    } else {
-      // Refill outside the measured path would be nicer; keep it simple.
-      ck::QueuedItem item;
-      item.job_type = "bench";
-      item.id = "refill" + std::to_string(refill++);
-      (void)zone.Enqueue(item, 0);
     }
+    (void)enqueue(zone);
     (void)txn.Commit();
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["index_entries_per_dequeue"] =
+      static_cast<double>(entries_read) /
+      static_cast<double>(state.iterations());
+  bench::BenchReportCollector::Global()->ReportRun(
+      "BM_QueueZoneDequeueComplete/" + std::to_string(backlog), state);
 }
-BENCHMARK(BM_QueueZoneDequeueComplete);
+BENCHMARK(BM_QueueZoneDequeueComplete)
+    ->ArgNames({"backlog"})
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(16384);
 
 }  // namespace
 }  // namespace quick

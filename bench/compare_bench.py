@@ -9,7 +9,9 @@ Two kinds of checks:
      - micro_resolver: the interval resolver beats the legacy linear scan
        by >= 5x on the stale-miss conflict check at 10k tracked commits.
      - micro_substrates: group commit beats per-commit log rounds by
-       >= 1.5x on concurrent commit throughput.
+       >= 1.5x on concurrent commit throughput, and a queue-zone
+       Dequeue(1) reads no more index entries at a 16,384-item backlog
+       than at 64 (a count, so host speed cannot move it).
      - fig7_contention: end-to-end throughput at the CI shape
        (selection_frac 0.05) improves with group commit on vs off.
      - admission_noisy_neighbor: admission control halves (>= 2x) the
@@ -119,6 +121,12 @@ def ratio_invariants(current):
                     "BM_FdbConcurrentCommit/group",
                     "BM_FdbConcurrentCommit/single",
                     "throughput_commits_per_sec", 1.5)
+        # Operands swapped: entries read at 64 over entries read at 16,384
+        # is >= 1 exactly when the big backlog costs no more (DESIGN.md §4c).
+        check_ratio(current["micro_substrates"], "micro_substrates",
+                    "BM_QueueZoneDequeueComplete/64",
+                    "BM_QueueZoneDequeueComplete/16384",
+                    "index_entries_per_dequeue", 1.0)
     if "fig7_contention" in current:
         check_ratio(current["fig7_contention"], "fig7_contention",
                     "BM_Fig7_SelectionFrac/500/group",

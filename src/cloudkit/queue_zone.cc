@@ -1,5 +1,7 @@
 #include "cloudkit/queue_zone.h"
 
+#include <limits>
+
 #include "common/metrics.h"
 #include "common/random.h"
 
@@ -14,6 +16,129 @@ namespace {
 /// site so the hot paths never touch the registry mutex.
 Counter* ZoneCounter(const char* name) {
   return MetricsRegistry::Default()->GetCounter(name);
+}
+
+// Index reads. Every scan below is a snapshot scan that streams entry
+// bytes (rl::IndexEntrySink) and decodes only the fields it uses, so a
+// read costs O(entries it returns), not O(zone size). Walks resume from a
+// cursor in entry bytes; nullopt means the end of the index.
+
+bool Full(size_t have, int max_items) {
+  return max_items > 0 && static_cast<int>(have) >= max_items;
+}
+
+/// Scan limit for the rest of a `max_items` request (0 = unlimited).
+int Remaining(size_t have, int max_items) {
+  return max_items > 0 ? max_items - static_cast<int>(have) : 0;
+}
+
+/// Reads the (priority, vesting_time) head of a vesting-index entry,
+/// leaving `reader` at the primary key.
+Status ReadVestingKey(tup::TupleReader& reader, int64_t* priority,
+                      int64_t* vesting) {
+  QUICK_ASSIGN_OR_RETURN(*priority, reader.ReadInt());
+  QUICK_ASSIGN_OR_RETURN(*vesting, reader.ReadInt());
+  return Status::OK();
+}
+
+/// The item id of the primary key (record type, id) at `reader`.
+Result<std::string> ReadItemId(tup::TupleReader& reader) {
+  QUICK_RETURN_IF_ERROR(reader.Skip());  // record type name
+  return reader.ReadString();
+}
+
+/// Entry bytes just past every entry of priority group `priority`: tuple
+/// continuations sort below 0xFF.
+std::string PastGroup(int64_t priority) {
+  std::string bytes = tup::Tuple().AddInt(priority).Encode();
+  bytes.push_back('\xFF');
+  return bytes;
+}
+
+/// Ids of up to `max_items` (0 = all) items vested at `now`, in (priority,
+/// vesting) order, walking the vesting index from `*cursor`. Within a
+/// priority group vested entries come first, so the walk reads a group's
+/// vested prefix and hops past the group at its first unvested entry: one
+/// entry per id returned plus one per group hopped. *cursor is left where
+/// the walk continues.
+Result<std::vector<std::string>> VestedIds(rl::RecordStore& store,
+                                           int64_t now, int max_items,
+                                           std::optional<std::string>* cursor) {
+  rl::IndexScanOptions options;
+  options.snapshot = true;
+  std::vector<std::string> ids;
+  while (cursor->has_value() && !Full(ids.size(), max_items)) {
+    options.limit = Remaining(ids.size(), max_items);
+    const KeyRange range{**cursor, KeyRange::All().end};
+    cursor->reset();  // the end of the index, unless the scan stops early
+    Status decode;
+    QUICK_RETURN_IF_ERROR(store.ScanIndexEntries(
+        QueueZone::kVestingIndex, range, options, [&](std::string_view bytes) {
+          tup::TupleReader reader(bytes);
+          int64_t priority = 0;
+          int64_t vesting = 0;
+          decode = ReadVestingKey(reader, &priority, &vesting);
+          if (!decode.ok()) return false;
+          if (vesting > now) {  // not vested (or leased into the future)
+            cursor->emplace(PastGroup(priority));
+            return false;
+          }
+          Result<std::string> id = ReadItemId(reader);
+          if (!id.ok()) {
+            decode = id.status();
+            return false;
+          }
+          ids.push_back(*std::move(id));
+          if (Full(ids.size(), max_items)) cursor->emplace(KeyAfter(bytes));
+          return true;
+        }));
+    QUICK_RETURN_IF_ERROR(decode);
+  }
+  return ids;
+}
+
+/// Ids of the next `max_items` (0 = all) entries of `index` from `*cursor`,
+/// decoded by `id_of`; *cursor is left after the last entry read.
+Result<std::vector<std::string>> IdPage(
+    rl::RecordStore& store, const char* index, int max_items,
+    Result<std::string> (*id_of)(std::string_view entry),
+    std::optional<std::string>* cursor) {
+  rl::IndexScanOptions options;
+  options.snapshot = true;
+  options.limit = max_items;
+  const KeyRange range{**cursor, KeyRange::All().end};
+  cursor->reset();
+  std::vector<std::string> ids;
+  Status decode;
+  QUICK_RETURN_IF_ERROR(store.ScanIndexEntries(
+      index, range, options, [&](std::string_view bytes) {
+        Result<std::string> id = id_of(bytes);
+        if (!id.ok()) {
+          decode = id.status();
+          return false;
+        }
+        ids.push_back(*std::move(id));
+        if (Full(ids.size(), max_items)) cursor->emplace(KeyAfter(bytes));
+        return true;
+      }));
+  QUICK_RETURN_IF_ERROR(decode);
+  return ids;
+}
+
+/// Item id of an arrival (version) index entry: stamp + primary key.
+Result<std::string> ArrivalEntryId(std::string_view entry) {
+  if (entry.size() < rl::kVersionstampBytes) {
+    return Status::Internal("corrupt arrival index entry");
+  }
+  tup::TupleReader reader(entry.substr(rl::kVersionstampBytes));
+  return ReadItemId(reader);
+}
+
+/// Item id of a quarantine-time index entry: (quarantine_time, primary key).
+Result<std::string> QuarantineEntryId(std::string_view entry) {
+  tup::TupleReader reader(entry);
+  QUICK_RETURN_IF_ERROR(reader.Skip());  // quarantine_time
+  return ReadItemId(reader);
 }
 
 rl::RecordMetadata BuildMetadata(bool fifo) {
@@ -148,14 +273,23 @@ Result<std::string> QueueZone::Enqueue(QueuedItem item,
 }
 
 Result<QueuedItem> QueueZone::LoadOrNotFound(const std::string& item_id) {
+  QUICK_ASSIGN_OR_RETURN(std::optional<QueuedItem> item,
+                         LoadItem(item_id, /*snapshot=*/false));
+  if (!item.has_value()) {
+    return Status::NotFound("queued item " + item_id);
+  }
+  return *std::move(item);
+}
+
+Result<std::optional<QueuedItem>> QueueZone::LoadItem(
+    const std::string& item_id, bool snapshot) {
   QUICK_ASSIGN_OR_RETURN(
       std::optional<rl::Record> rec,
       store_.LoadRecord(QueuedItem::kRecordType,
-                        tup::Tuple().AddString(item_id)));
-  if (!rec.has_value()) {
-    return Status::NotFound("queued item " + item_id);
-  }
-  return QueuedItem::FromRecord(*rec);
+                        tup::Tuple().AddString(item_id), snapshot));
+  if (!rec.has_value()) return std::optional<QueuedItem>(std::nullopt);
+  QUICK_ASSIGN_OR_RETURN(QueuedItem item, QueuedItem::FromRecord(*rec));
+  return std::optional<QueuedItem>(std::move(item));
 }
 
 Status QueueZone::Save(const QueuedItem& item) {
@@ -164,70 +298,40 @@ Status QueueZone::Save(const QueuedItem& item) {
 
 Result<std::vector<QueuedItem>> QueueZone::Peek(
     int max_items, const std::function<bool(const QueuedItem&)>& predicate) {
-  const int64_t now = clock_->NowMillis();
-  rl::IndexScanOptions options;
-  options.snapshot = true;
-  QUICK_ASSIGN_OR_RETURN(
-      std::vector<rl::IndexEntry> entries,
-      store_.ScanIndex(kVestingIndex, tup::Tuple(), options));
-  std::vector<QueuedItem> out;
-  for (const rl::IndexEntry& entry : entries) {
-    QUICK_ASSIGN_OR_RETURN(int64_t vesting, entry.indexed_values.GetInt(1));
-    if (vesting > now) continue;  // not vested (or leased into the future)
-    QUICK_ASSIGN_OR_RETURN(std::string id, entry.primary_key.GetString(1));
-    // Snapshot load: peek makes no decision a conflict must protect, and a
-    // dequeue that acts on the item conflicts via SaveRecord's
-    // previous-image read — so peeking never feeds the resolver.
-    QUICK_ASSIGN_OR_RETURN(
-        std::optional<rl::Record> rec,
-        store_.LoadRecord(QueuedItem::kRecordType,
-                          tup::Tuple().AddString(id), /*snapshot=*/true));
-    if (!rec.has_value()) continue;  // raced with a delete; snapshot scan
-    QUICK_ASSIGN_OR_RETURN(QueuedItem item, QueuedItem::FromRecord(*rec));
-    if (predicate && !predicate(item)) continue;
-    out.push_back(std::move(item));
-    if (max_items > 0 && static_cast<int>(out.size()) >= max_items) break;
-  }
-  return out;
+  return PeekVestedBy(clock_->NowMillis(), max_items, predicate);
 }
 
 Result<std::vector<QueuedItem>> QueueZone::SnapshotAll(int max_items) {
-  rl::IndexScanOptions options;
-  options.snapshot = true;
-  QUICK_ASSIGN_OR_RETURN(
-      std::vector<rl::IndexEntry> entries,
-      store_.ScanIndex(kVestingIndex, tup::Tuple(), options));
+  // Every item has vested by the end of time.
+  return PeekVestedBy(std::numeric_limits<int64_t>::max(), max_items, nullptr);
+}
+
+Result<std::vector<QueuedItem>> QueueZone::PeekVestedBy(
+    int64_t now, int max_items,
+    const std::function<bool(const QueuedItem&)>& predicate) {
   std::vector<QueuedItem> out;
-  for (const rl::IndexEntry& entry : entries) {
-    QUICK_ASSIGN_OR_RETURN(std::string id, entry.primary_key.GetString(1));
+  std::optional<std::string> cursor(std::in_place);
+  while (cursor.has_value() && !Full(out.size(), max_items)) {
     QUICK_ASSIGN_OR_RETURN(
-        std::optional<rl::Record> rec,
-        store_.LoadRecord(QueuedItem::kRecordType,
-                          tup::Tuple().AddString(id), /*snapshot=*/true));
-    if (!rec.has_value()) continue;  // raced with a delete; snapshot scan
-    QUICK_ASSIGN_OR_RETURN(QueuedItem item, QueuedItem::FromRecord(*rec));
-    out.push_back(std::move(item));
-    if (max_items > 0 && static_cast<int>(out.size()) >= max_items) break;
+        std::vector<std::string> ids,
+        VestedIds(store_, now, Remaining(out.size(), max_items), &cursor));
+    for (const std::string& id : ids) {
+      // Snapshot load: peek makes no decision a conflict must protect, and
+      // a dequeue that acts on the item conflicts via SaveRecord's
+      // previous-image read — so peeking never feeds the resolver.
+      QUICK_ASSIGN_OR_RETURN(std::optional<QueuedItem> item,
+                             LoadItem(id, /*snapshot=*/true));
+      if (!item.has_value()) continue;  // raced with a delete; snapshot scan
+      if (predicate && !predicate(*item)) continue;
+      out.push_back(*std::move(item));
+    }
   }
   return out;
 }
 
 Result<std::vector<std::string>> QueueZone::PeekIds(int max_items) {
-  const int64_t now = clock_->NowMillis();
-  rl::IndexScanOptions options;
-  options.snapshot = true;
-  QUICK_ASSIGN_OR_RETURN(
-      std::vector<rl::IndexEntry> entries,
-      store_.ScanIndex(kVestingIndex, tup::Tuple(), options));
-  std::vector<std::string> ids;
-  for (const rl::IndexEntry& entry : entries) {
-    QUICK_ASSIGN_OR_RETURN(int64_t vesting, entry.indexed_values.GetInt(1));
-    if (vesting > now) continue;
-    QUICK_ASSIGN_OR_RETURN(std::string id, entry.primary_key.GetString(1));
-    ids.push_back(std::move(id));
-    if (max_items > 0 && static_cast<int>(ids.size()) >= max_items) break;
-  }
-  return ids;
+  std::optional<std::string> cursor(std::in_place);
+  return VestedIds(store_, clock_->NowMillis(), max_items, &cursor);
 }
 
 Result<std::string> QueueZone::ObtainLease(const std::string& item_id,
@@ -325,23 +429,23 @@ Status QueueZone::Quarantine(const std::string& item_id,
 }
 
 Result<std::vector<DeadLetterItem>> QueueZone::ListDeadLetters(int max_items) {
-  rl::IndexScanOptions options;
-  options.snapshot = true;
-  QUICK_ASSIGN_OR_RETURN(
-      std::vector<rl::IndexEntry> entries,
-      dl_store_.ScanIndex(kQuarantineTimeIndex, tup::Tuple(), options));
   std::vector<DeadLetterItem> out;
-  for (const rl::IndexEntry& entry : entries) {
-    QUICK_ASSIGN_OR_RETURN(std::string id, entry.primary_key.GetString(1));
+  std::optional<std::string> cursor(std::in_place);
+  while (cursor.has_value() && !Full(out.size(), max_items)) {
     QUICK_ASSIGN_OR_RETURN(
-        std::optional<rl::Record> rec,
-        dl_store_.LoadRecord(DeadLetterItem::kRecordType,
-                             tup::Tuple().AddString(id), /*snapshot=*/true));
-    if (!rec.has_value()) continue;  // raced with a purge; snapshot scan
-    QUICK_ASSIGN_OR_RETURN(DeadLetterItem item,
-                           DeadLetterItem::FromRecord(*rec));
-    out.push_back(std::move(item));
-    if (max_items > 0 && static_cast<int>(out.size()) >= max_items) break;
+        std::vector<std::string> ids,
+        IdPage(dl_store_, kQuarantineTimeIndex,
+               Remaining(out.size(), max_items), QuarantineEntryId, &cursor));
+    for (const std::string& id : ids) {
+      QUICK_ASSIGN_OR_RETURN(
+          std::optional<rl::Record> rec,
+          dl_store_.LoadRecord(DeadLetterItem::kRecordType,
+                               tup::Tuple().AddString(id), /*snapshot=*/true));
+      if (!rec.has_value()) continue;  // raced with a purge; snapshot scan
+      QUICK_ASSIGN_OR_RETURN(DeadLetterItem item,
+                             DeadLetterItem::FromRecord(*rec));
+      out.push_back(std::move(item));
+    }
   }
   return out;
 }
@@ -404,13 +508,7 @@ Result<std::vector<LeasedItem>> QueueZone::Dequeue(
 }
 
 Result<std::optional<QueuedItem>> QueueZone::Load(const std::string& item_id) {
-  QUICK_ASSIGN_OR_RETURN(
-      std::optional<rl::Record> rec,
-      store_.LoadRecord(QueuedItem::kRecordType,
-                        tup::Tuple().AddString(item_id)));
-  if (!rec.has_value()) return std::optional<QueuedItem>(std::nullopt);
-  QUICK_ASSIGN_OR_RETURN(QueuedItem item, QueuedItem::FromRecord(*rec));
-  return std::optional<QueuedItem>(std::move(item));
+  return LoadItem(item_id, /*snapshot=*/false);
 }
 
 Result<int64_t> QueueZone::Count() {
@@ -418,21 +516,31 @@ Result<int64_t> QueueZone::Count() {
 }
 
 Result<std::optional<int64_t>> QueueZone::MinVestingTime() {
-  // The index orders by (priority, vesting), so the minimum vesting time
-  // across priorities requires inspecting every priority group; queue
-  // zones are small (they hold one tenant's pending work), so a full
-  // snapshot scan of the index is fine.
+  // The index orders by (priority, vesting), so each priority group's
+  // first entry holds the group's earliest vesting time: read that one
+  // entry, then hop to the next group.
   rl::IndexScanOptions options;
   options.snapshot = true;
-  QUICK_ASSIGN_OR_RETURN(
-      std::vector<rl::IndexEntry> entries,
-      store_.ScanIndex(kVestingIndex, tup::Tuple(), options));
+  options.limit = 1;
   std::optional<int64_t> min_vesting;
-  for (const rl::IndexEntry& entry : entries) {
-    QUICK_ASSIGN_OR_RETURN(int64_t vesting, entry.indexed_values.GetInt(1));
-    if (!min_vesting.has_value() || vesting < *min_vesting) {
-      min_vesting = vesting;
-    }
+  std::optional<std::string> cursor(std::in_place);
+  while (cursor.has_value()) {
+    const KeyRange range{*cursor, KeyRange::All().end};
+    cursor.reset();
+    Status decode;
+    QUICK_RETURN_IF_ERROR(store_.ScanIndexEntries(
+        kVestingIndex, range, options, [&](std::string_view bytes) {
+          tup::TupleReader reader(bytes);
+          int64_t priority = 0;
+          int64_t vesting = 0;
+          decode = ReadVestingKey(reader, &priority, &vesting);
+          if (decode.ok()) {
+            min_vesting = std::min(vesting, min_vesting.value_or(vesting));
+            cursor.emplace(PastGroup(priority));
+          }
+          return false;
+        }));
+    QUICK_RETURN_IF_ERROR(decode);
   }
   return min_vesting;
 }
@@ -441,24 +549,21 @@ Result<bool> QueueZone::IsEmpty() { return store_.IsEmpty(); }
 
 Result<std::vector<QueuedItem>> QueueZone::PeekFifo(int max_items) {
   const int64_t now = clock_->NowMillis();
-  rl::IndexScanOptions options;
-  options.snapshot = true;
-  QUICK_ASSIGN_OR_RETURN(std::vector<rl::VersionIndexEntry> entries,
-                         store_.ScanVersionIndex(kArrivalIndex,
-                                                 std::nullopt, options));
   std::vector<QueuedItem> out;
-  for (const rl::VersionIndexEntry& entry : entries) {
-    QUICK_ASSIGN_OR_RETURN(std::string id, entry.primary_key.GetString(1));
-    // Snapshot load, as in Peek: leasing paths conflict via SaveRecord.
+  std::optional<std::string> cursor(std::in_place);
+  while (cursor.has_value() && !Full(out.size(), max_items)) {
     QUICK_ASSIGN_OR_RETURN(
-        std::optional<rl::Record> rec,
-        store_.LoadRecord(QueuedItem::kRecordType,
-                          tup::Tuple().AddString(id), /*snapshot=*/true));
-    if (!rec.has_value()) continue;
-    QUICK_ASSIGN_OR_RETURN(QueuedItem item, QueuedItem::FromRecord(*rec));
-    if (item.vesting_time > now) continue;  // leased or delayed
-    out.push_back(std::move(item));
-    if (max_items > 0 && static_cast<int>(out.size()) >= max_items) break;
+        std::vector<std::string> ids,
+        IdPage(store_, kArrivalIndex, Remaining(out.size(), max_items),
+               ArrivalEntryId, &cursor));
+    for (const std::string& id : ids) {
+      // Snapshot load, as in Peek: leasing paths conflict via SaveRecord.
+      QUICK_ASSIGN_OR_RETURN(std::optional<QueuedItem> item,
+                             LoadItem(id, /*snapshot=*/true));
+      if (!item.has_value()) continue;
+      if (item->vesting_time > now) continue;  // leased or delayed
+      out.push_back(*std::move(item));
+    }
   }
   return out;
 }

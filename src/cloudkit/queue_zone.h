@@ -61,20 +61,23 @@ class QueueZone {
   Result<std::string> Enqueue(QueuedItem item, int64_t vesting_delay_millis);
 
   /// §5 peek: up to max_items vested items in (priority, vesting) order
-  /// that satisfy `predicate` (when given). Does not lease. The index scan
-  /// is snapshot (never aborts writers); record loads are snapshot too
-  /// since peek makes no decision a conflict must protect.
+  /// that satisfy `predicate` (when given). Does not lease. Reads only each
+  /// priority group's vested prefix, so it costs O(items examined), not
+  /// O(zone size). The index scan is snapshot (never aborts writers);
+  /// record loads are snapshot too since peek makes no decision a conflict
+  /// must protect.
   Result<std::vector<QueuedItem>> Peek(
       int max_items,
       const std::function<bool(const QueuedItem&)>& predicate = nullptr);
 
   /// Scanner fast path (§6 optimization): ids of vested items straight from
-  /// the vesting index without touching the records. Also returns the ids'
-  /// priorities' order implicitly (index order).
+  /// the vesting index without touching the records, in index order. Each
+  /// entry decodes only its (priority, vesting, id) fields.
   Result<std::vector<std::string>> PeekIds(int max_items);
 
   /// FIFO-zone peek: vested items in strict enqueue-commit order (ignores
-  /// priority). Requires the FIFO schema. Fully snapshot, like Peek.
+  /// priority). Requires the FIFO schema. Fully snapshot, like Peek; reads
+  /// the arrival index a page at a time and stops at max_items.
   Result<std::vector<QueuedItem>> PeekFifo(int max_items);
 
   /// Transactional FIFO peek+lease.
@@ -168,7 +171,8 @@ class QueueZone {
   Result<int64_t> Count();
 
   /// Earliest vesting time over all items including unvested ones, or
-  /// nullopt when empty. Snapshot index read.
+  /// nullopt when empty. Snapshot index read of one entry per priority
+  /// group (each group's first).
   Result<std::optional<int64_t>> MinVestingTime();
 
   /// Strong emptiness check: adds a read conflict over the zone's records
@@ -195,7 +199,14 @@ class QueueZone {
 
  private:
   Result<QueuedItem> LoadOrNotFound(const std::string& item_id);
+  Result<std::optional<QueuedItem>> LoadItem(const std::string& item_id,
+                                             bool snapshot);
   Status Save(const QueuedItem& item);
+  /// Peek as of `now`: up to max_items items vested by then that satisfy
+  /// `predicate`, in (priority, vesting) order.
+  Result<std::vector<QueuedItem>> PeekVestedBy(
+      int64_t now, int max_items,
+      const std::function<bool(const QueuedItem&)>& predicate);
 
   fdb::Transaction* txn_;
   rl::RecordStore store_;

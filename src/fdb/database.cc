@@ -137,21 +137,6 @@ Result<std::optional<std::string>> Database::ReadAt(const std::string& key,
   return store_.Get(key, version);
 }
 
-Result<std::vector<KeyValue>> Database::ReadRangeAt(
-    const KeyRange& range, Version version, const RangeOptions& options) {
-  if (options_.durability.enable_wal && DurabilityDead()) {
-    return Status::Unavailable("durable log dead; restart required");
-  }
-  InjectLatency(latency_.read_micros);
-  QUICK_RETURN_IF_ERROR(faults_.NextReadFault());
-  if (version < min_read_version_.load(std::memory_order_acquire)) {
-    return Status::TransactionTooOld("read version pruned");
-  }
-  stats_.reads.Increment();
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return store_.GetRange(range, version, options);
-}
-
 Status Database::ScanRangeAt(const KeyRange& range, Version version,
                              const RangeOptions& options,
                              const RangeSink& sink) {

@@ -213,12 +213,9 @@ class Database {
 
   Result<std::optional<std::string>> ReadAt(const std::string& key,
                                             Version version);
-  Result<std::vector<KeyValue>> ReadRangeAt(const KeyRange& range,
-                                            Version version,
-                                            const RangeOptions& options);
 
   /// Streaming range read: sink is invoked under the shared lock with
-  /// views into storage — the copy-light path behind Transaction::GetRange.
+  /// views into storage — the copy-light path behind Transaction::ScanRange.
   Status ScanRangeAt(const KeyRange& range, Version version,
                      const RangeOptions& options, const RangeSink& sink);
 

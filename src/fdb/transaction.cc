@@ -57,7 +57,7 @@ Transaction::LocalView Transaction::ClassifyLocal(
   return LocalView::kUnknown;
 }
 
-bool Transaction::CoveredByClearedRange(const std::string& key) const {
+bool Transaction::CoveredByClearedRange(std::string_view key) const {
   for (const KeyRange& r : cleared_ranges_) {
     if (r.Contains(key)) return true;
   }
@@ -100,14 +100,28 @@ Result<std::optional<std::string>> Transaction::Get(const std::string& key,
   return value;
 }
 
-Result<std::vector<KeyValue>> Transaction::GetRange(const KeyRange& range,
-                                                    const RangeOptions& options,
-                                                    bool snapshot) {
+Status Transaction::ScanRange(const KeyRange& range,
+                              const RangeOptions& options, bool snapshot,
+                              const RangeSink& sink) {
   QUICK_RETURN_IF_ERROR(CheckUsable());
   QUICK_ASSIGN_OR_RETURN(Version rv, EnsureReadVersion());
 
-  // Determine whether the write buffer overlaps the range; if not we can
-  // pass the limit straight to storage.
+  // Every merged pair goes through `emit`, which enforces the limit and
+  // remembers where the scan stopped: the read conflict only covers the
+  // keys the scan actually read.
+  int emitted = 0;
+  std::optional<std::string> stopped_at;
+  auto emit = [&](std::string_view key, std::string_view value) {
+    ++emitted;
+    if (!sink(key, value) || (options.limit > 0 && emitted >= options.limit)) {
+      stopped_at.emplace(key);
+      return false;
+    }
+    return true;
+  };
+
+  // Determine whether the write buffer overlaps the range; if not, storage
+  // streams straight into the sink.
   auto first_write = writes_.lower_bound(range.begin);
   bool writes_overlap =
       first_write != writes_.end() && first_write->first < range.end;
@@ -119,112 +133,115 @@ Result<std::vector<KeyValue>> Transaction::GetRange(const KeyRange& range,
     }
   }
 
-  std::vector<KeyValue> merged;
+  Status scan_status;
   if (!writes_overlap && !clears_overlap) {
-    QUICK_ASSIGN_OR_RETURN(merged, db_->ReadRangeAt(range, rv, options));
+    scan_status = db_->ScanRangeAt(range, rv, options, emit);
   } else {
-    // One-pass ordered merge of the storage stream with the write buffer:
-    // no full-range materialization, and the scan stops as soon as `limit`
-    // results exist. The storage limit cannot be pushed down (buffered
-    // clears may drop stored keys), so the early-stopping sink is what
-    // bounds the work.
-    const int limit = options.limit;
-    auto full = [&] {
-      return limit > 0 && static_cast<int>(merged.size()) >= limit;
-    };
+    // One-pass ordered merge of the storage stream with the write buffer;
+    // the scan stops as soon as `emit` does. The storage limit cannot be
+    // pushed down (buffered clears may drop stored keys).
     // Emits the merged view of one write-buffer entry; `stored` is the
     // storage value at the same key when the merge aligned one.
     auto apply_entry = [&](const std::string& key, const WriteEntry& e,
-                           std::optional<std::string> stored) {
+                           std::optional<std::string_view> stored) {
       switch (e.kind) {
         case WriteEntry::Kind::kSet:
-          merged.push_back({key, e.set_value});
-          break;
+          return emit(key, e.set_value);
         case WriteEntry::Kind::kClear:
-          break;
+          return true;
         case WriteEntry::Kind::kAtomicChain: {
           std::optional<std::string> v;
-          if (!e.base_cleared) v = std::move(stored);
+          if (!e.base_cleared && stored.has_value()) v.emplace(*stored);
           for (const auto& [op, operand] : e.atomics) {
             v = ApplyAtomicOp(op, v, operand);
           }
-          if (v.has_value()) merged.push_back({key, *std::move(v)});
-          break;
+          return !v.has_value() || emit(key, *v);
         }
       }
+      return true;
+    };
+    // Storage value of `key` as the merge sees it (nullopt when a buffered
+    // range clear hides it).
+    auto visible = [&](std::string_view key, std::string_view v) {
+      return CoveredByClearedRange(key)
+                 ? std::nullopt
+                 : std::optional<std::string_view>(v);
     };
 
     RangeOptions scan_opts;
     scan_opts.reverse = options.reverse;
-    Status scan_status;
     if (!options.reverse) {
       auto wit = first_write;
       const auto wend = writes_.end();
-      auto flush_before = [&](const std::string* bound) {
+      auto flush_before = [&](const std::string_view* bound) {
         while (wit != wend && wit->first < range.end &&
                (bound == nullptr || wit->first < *bound)) {
-          apply_entry(wit->first, wit->second, std::nullopt);
-          ++wit;
-          if (full()) return false;
+          const auto& [key, entry] = *wit++;
+          if (!apply_entry(key, entry, std::nullopt)) return false;
         }
         return true;
       };
       scan_status = db_->ScanRangeAt(
-          range, rv, scan_opts,
-          [&](std::string_view k, std::string_view v) {
-            const std::string key(k);
-            if (!flush_before(&key)) return false;
-            if (wit != wend && wit->first == key) {
-              apply_entry(key, wit->second,
-                          CoveredByClearedRange(key)
-                              ? std::nullopt
-                              : std::optional<std::string>(std::string(v)));
-              ++wit;
-            } else if (!CoveredByClearedRange(key)) {
-              merged.push_back({key, std::string(v)});
+          range, rv, scan_opts, [&](std::string_view k, std::string_view v) {
+            if (!flush_before(&k)) return false;
+            if (wit != wend && wit->first == k) {
+              const auto& [key, entry] = *wit++;
+              return apply_entry(key, entry, visible(k, v));
             }
-            return !full();
+            return !visible(k, v).has_value() || emit(k, v);
           });
-      if (scan_status.ok() && !full()) flush_before(nullptr);
+      if (scan_status.ok() && !stopped_at.has_value()) flush_before(nullptr);
     } else {
       auto wit = std::make_reverse_iterator(writes_.lower_bound(range.end));
       const auto wend = writes_.rend();
       auto in_range = [&] { return wit != wend && wit->first >= range.begin; };
-      auto flush_after = [&](const std::string* bound) {
+      auto flush_after = [&](const std::string_view* bound) {
         while (in_range() && (bound == nullptr || wit->first > *bound)) {
-          apply_entry(wit->first, wit->second, std::nullopt);
-          ++wit;
-          if (full()) return false;
+          const auto& [key, entry] = *wit++;
+          if (!apply_entry(key, entry, std::nullopt)) return false;
         }
         return true;
       };
       scan_status = db_->ScanRangeAt(
-          range, rv, scan_opts,
-          [&](std::string_view k, std::string_view v) {
-            const std::string key(k);
-            if (!flush_after(&key)) return false;
-            if (in_range() && wit->first == key) {
-              apply_entry(key, wit->second,
-                          CoveredByClearedRange(key)
-                              ? std::nullopt
-                              : std::optional<std::string>(std::string(v)));
-              ++wit;
-            } else if (!CoveredByClearedRange(key)) {
-              merged.push_back({key, std::string(v)});
+          range, rv, scan_opts, [&](std::string_view k, std::string_view v) {
+            if (!flush_after(&k)) return false;
+            if (in_range() && wit->first == k) {
+              const auto& [key, entry] = *wit++;
+              return apply_entry(key, entry, visible(k, v));
             }
-            return !full();
+            return !visible(k, v).has_value() || emit(k, v);
           });
-      if (scan_status.ok() && !full()) flush_after(nullptr);
+      if (scan_status.ok() && !stopped_at.has_value()) flush_after(nullptr);
     }
-    QUICK_RETURN_IF_ERROR(scan_status);
   }
+  QUICK_RETURN_IF_ERROR(scan_status);
 
   if (!snapshot) {
-    // Conservative: conflict on the requested range (a finer implementation
-    // would clip at the last returned key when a limit stopped the scan).
-    AddReadConflictRange(range);
+    // As in FoundationDB, a scan that a limit or the sink ended early
+    // depends on no key past the last one it read.
+    KeyRange read = range;
+    if (stopped_at.has_value()) {
+      if (options.reverse) {
+        read.begin = *std::move(stopped_at);
+      } else {
+        read.end = KeyAfter(*stopped_at);
+      }
+    }
+    AddReadConflictRange(read);
   }
-  return merged;
+  return Status::OK();
+}
+
+Result<std::vector<KeyValue>> Transaction::GetRange(const KeyRange& range,
+                                                    const RangeOptions& options,
+                                                    bool snapshot) {
+  std::vector<KeyValue> out;
+  QUICK_RETURN_IF_ERROR(ScanRange(
+      range, options, snapshot, [&out](std::string_view k, std::string_view v) {
+        out.push_back({std::string(k), std::string(v)});
+        return true;
+      }));
+  return out;
 }
 
 Result<std::optional<std::string>> Transaction::GetKey(

@@ -65,17 +65,27 @@ class Transaction {
   Result<std::optional<std::string>> Get(const std::string& key,
                                          bool snapshot = false);
 
-  /// Range read over [range.begin, range.end), merged with the write
-  /// buffer. Served as a streaming merge over the cluster's version chains
-  /// (no intermediate full-range materialization); limit/reverse stop the
-  /// scan early.
+  /// Streaming range read over [range.begin, range.end), merged with the
+  /// write buffer in one ordered pass over the cluster's version chains:
+  /// `sink` receives each live pair in scan order (reverse order when
+  /// options.reverse) and returns false to stop; options.limit stops it
+  /// too. The views are valid only during the call, and the sink must not
+  /// use this transaction. Unless `snapshot`, the read conflict covers the
+  /// keys the scan read: a scan that a limit or the sink ended early
+  /// conflicts on [range.begin, KeyAfter(last key)) forward and
+  /// [last key, range.end) in reverse, one that reached the end of its
+  /// range on the whole range (FoundationDB's rule).
+  Status ScanRange(const KeyRange& range, const RangeOptions& options,
+                   bool snapshot, const RangeSink& sink);
+
+  /// Range read collecting ScanRange's pairs (same conflict rule).
   Result<std::vector<KeyValue>> GetRange(const KeyRange& range,
                                          const RangeOptions& options = {},
                                          bool snapshot = false);
 
   /// Resolves a key selector against the snapshot (merged with the write
   /// buffer); nullopt when no key satisfies it. Adds a read conflict on
-  /// the range inspected unless `snapshot`.
+  /// the keys inspected unless `snapshot` (a limited GetRange).
   Result<std::optional<std::string>> GetKey(const KeySelector& selector,
                                             bool snapshot = false);
 
@@ -184,7 +194,7 @@ class Transaction {
   LocalView ClassifyLocal(const std::string& key,
                           const WriteEntry** entry) const;
 
-  bool CoveredByClearedRange(const std::string& key) const;
+  bool CoveredByClearedRange(std::string_view key) const;
   Status CheckUsable();
   Result<Version> EnsureReadVersion();
 

@@ -1,5 +1,7 @@
 #include "reclayer/record_store.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
 
 namespace quick::rl {
@@ -11,8 +13,13 @@ constexpr std::string_view kRecordsTag = "r";
 constexpr std::string_view kIndexesTag = "i";
 constexpr std::string_view kHeadersTag = "h";
 constexpr std::string_view kStatesTag = "st";
-constexpr size_t kVersionstampBytes = 10;
 }  // namespace
+
+Counter* IndexEntriesReadCounter() {
+  static Counter* const counter =
+      MetricsRegistry::Default()->GetCounter(kIndexEntriesReadCounterName);
+  return counter;
+}
 
 RecordStore::RecordStore(fdb::Transaction* txn, tup::Subspace subspace,
                          const RecordMetadata* metadata)
@@ -217,31 +224,26 @@ Result<std::vector<Record>> RecordStore::ScanRecords(int limit) {
 Result<std::vector<IndexEntry>> RecordStore::ScanIndex(
     const std::string& index_name, const tup::Tuple& prefix,
     const IndexScanOptions& options) {
-  tup::Tuple scan = tup::Tuple().AddString(index_name);
-  scan.Concat(prefix);
-  const KeyRange range = indexes_.Range(scan);
-  return ScanIndexRangeImplByKeys(index_name, range, options);
+  return CollectIndexEntries(
+      index_name,
+      prefix.empty() ? KeyRange::All() : KeyRange::Prefix(prefix.Encode()),
+      options);
 }
 
 Result<std::vector<IndexEntry>> RecordStore::ScanIndexRange(
     const std::string& index_name, const std::optional<tup::Tuple>& begin,
     const std::optional<tup::Tuple>& end, const IndexScanOptions& options) {
-  const KeyRange whole = indexes_.Range(tup::Tuple().AddString(index_name));
-  KeyRange range = whole;
-  if (begin.has_value()) {
-    tup::Tuple b = tup::Tuple().AddString(index_name);
-    b.Concat(*begin);
-    range.begin = indexes_.Pack(b);
-  }
-  if (end.has_value()) {
-    tup::Tuple e = tup::Tuple().AddString(index_name);
-    e.Concat(*end);
-    range.end = indexes_.Pack(e);
-  }
-  return ScanIndexRangeImplByKeys(index_name, range, options);
+  KeyRange range = KeyRange::All();
+  if (begin.has_value()) range.begin = begin->Encode();
+  if (end.has_value()) range.end = end->Encode();
+  return CollectIndexEntries(index_name, range, options);
 }
 
 Status RecordStore::CheckIndexReadable(const std::string& index_name) {
+  if (std::find(readable_indexes_.begin(), readable_indexes_.end(),
+                index_name) != readable_indexes_.end()) {
+    return Status::OK();
+  }
   QUICK_ASSIGN_OR_RETURN(std::optional<std::string> state,
                          txn_->Get(IndexStateKey(index_name),
                                    /*snapshot=*/true));
@@ -249,6 +251,7 @@ Status RecordStore::CheckIndexReadable(const std::string& index_name) {
     return Status::FailedPrecondition("index " + index_name +
                                       " is write-only (still building)");
   }
+  readable_indexes_.push_back(index_name);
   return Status::OK();
 }
 
@@ -260,16 +263,10 @@ Result<std::vector<StoredRecord>> RecordStore::ScanRecordsPage(
   }
   fdb::RangeOptions opts;
   opts.limit = limit;
+  // A full page's read conflict stops at its last key, so writes to records
+  // the backfill has not reached yet do not abort the batch.
   QUICK_ASSIGN_OR_RETURN(std::vector<fdb::KeyValue> kvs,
-                         txn_->GetRange(range, opts, /*snapshot=*/true));
-  // A full page depends on no record past its last key, so the read
-  // conflict stops there: writes to records the backfill has not reached
-  // yet must not abort the batch. A short page read to the end of the
-  // store and conflicts on all of it.
-  if (limit > 0 && static_cast<int>(kvs.size()) >= limit) {
-    range.end = KeyAfter(kvs.back().key);
-  }
-  txn_->AddReadConflictRange(range);
+                         txn_->GetRange(range, opts));
   std::vector<StoredRecord> out;
   out.reserve(kvs.size());
   for (const fdb::KeyValue& kv : kvs) {
@@ -306,11 +303,9 @@ Status RecordStore::BackfillIndexEntry(const std::string& index_name,
 Result<std::vector<IndexEntry>> RecordStore::ScanIndexBounds(
     const std::string& index_name, const IndexBounds& bounds,
     const IndexScanOptions& options) {
-  KeyRange range = indexes_.Range(tup::Tuple().AddString(index_name));
+  KeyRange range = KeyRange::All();
   if (bounds.begin.has_value()) {
-    tup::Tuple b = tup::Tuple().AddString(index_name);
-    b.Concat(*bounds.begin);
-    range.begin = indexes_.Pack(b);
+    range.begin = bounds.begin->Encode();
     if (!bounds.begin_inclusive) {
       // Skip the bound tuple and all its extensions: primary-key
       // continuations use tuple type codes < 0xFF.
@@ -318,14 +313,12 @@ Result<std::vector<IndexEntry>> RecordStore::ScanIndexBounds(
     }
   }
   if (bounds.end.has_value()) {
-    tup::Tuple e = tup::Tuple().AddString(index_name);
-    e.Concat(*bounds.end);
-    range.end = indexes_.Pack(e);
+    range.end = bounds.end->Encode();
     if (bounds.end_inclusive) {
       range.end.push_back('\xFF');
     }
   }
-  return ScanIndexRangeImplByKeys(index_name, range, options);
+  return CollectIndexEntries(index_name, range, options);
 }
 
 Result<std::optional<Record>> RecordStore::LoadByFullPrimaryKey(
@@ -337,39 +330,72 @@ Result<std::optional<Record>> RecordStore::LoadByFullPrimaryKey(
   return std::optional<Record>(std::move(record));
 }
 
-Result<std::vector<IndexEntry>> RecordStore::ScanIndexRangeImplByKeys(
-    const std::string& index_name, const KeyRange& range,
-    const IndexScanOptions& options) {
+Status RecordStore::ScanIndexEntries(const std::string& index_name,
+                                     const KeyRange& range,
+                                     const IndexScanOptions& options,
+                                     const IndexEntrySink& sink) {
   const IndexDef* index = metadata_->FindIndex(index_name);
   if (index == nullptr) {
     return Status::InvalidArgument("unknown index " + index_name);
   }
-  QUICK_RETURN_IF_ERROR(CheckIndexReadable(index_name));
-  if (index->kind != IndexKind::kValue) {
+  if (index->kind == IndexKind::kCount) {
     return Status::InvalidArgument("index " + index_name +
-                                   " is not a value index");
+                                   " is a count index");
   }
+  // Only value indexes are built online, so only they can be write-only.
+  if (index->kind == IndexKind::kValue) {
+    QUICK_RETURN_IF_ERROR(CheckIndexReadable(index_name));
+  }
+  const std::string prefix = indexes_.Pack(tup::Tuple().AddString(index_name));
+  const KeyRange keys{
+      prefix + range.begin,
+      range.end == KeyRange::All().end ? KeyRange::Prefix(prefix).end
+                                       : prefix + range.end};
   fdb::RangeOptions opts;
   opts.limit = options.limit;
   opts.reverse = options.reverse;
-  QUICK_ASSIGN_OR_RETURN(std::vector<fdb::KeyValue> kvs,
-                         txn_->GetRange(range, opts, options.snapshot));
-  std::vector<IndexEntry> out;
-  out.reserve(kvs.size());
-  const size_t arity = index->fields.size();
-  for (const fdb::KeyValue& kv : kvs) {
-    QUICK_ASSIGN_OR_RETURN(tup::Tuple t, indexes_.Unpack(kv.key));
-    // Layout: (index name, values..., primary key...).
-    if (t.size() < 1 + arity) {
-      return Status::Internal("corrupt index entry");
-    }
-    IndexEntry entry;
-    for (size_t i = 1; i <= arity; ++i) entry.indexed_values.Add(t.at(i));
-    for (size_t i = 1 + arity; i < t.size(); ++i) {
-      entry.primary_key.Add(t.at(i));
-    }
-    out.push_back(std::move(entry));
+  int64_t entries_read = 0;
+  const Status st = txn_->ScanRange(
+      keys, opts, options.snapshot,
+      [&](std::string_view key, std::string_view /*value*/) {
+        ++entries_read;
+        return sink(key.substr(prefix.size()));
+      });
+  IndexEntriesReadCounter()->Increment(entries_read);
+  return st;
+}
+
+Result<std::vector<IndexEntry>> RecordStore::CollectIndexEntries(
+    const std::string& index_name, const KeyRange& range,
+    const IndexScanOptions& options) {
+  const IndexDef* index = metadata_->FindIndex(index_name);
+  if (index != nullptr && index->kind != IndexKind::kValue) {
+    return Status::InvalidArgument("index " + index_name +
+                                   " is not a value index");
   }
+  std::vector<IndexEntry> out;
+  Status decode;
+  QUICK_RETURN_IF_ERROR(ScanIndexEntries(
+      index_name, range, options, [&](std::string_view bytes) {
+        // Layout: (values..., primary key...).
+        const size_t arity = index->fields.size();
+        tup::TupleReader reader(bytes);
+        IndexEntry entry;
+        for (size_t i = 0; !reader.done(); ++i) {
+          tup::Element e;
+          decode = reader.Read(&e);
+          if (!decode.ok()) return false;
+          (i < arity ? entry.indexed_values : entry.primary_key)
+              .Add(std::move(e));
+        }
+        if (entry.indexed_values.size() < arity) {
+          decode = Status::Internal("corrupt index entry");
+          return false;
+        }
+        out.push_back(std::move(entry));
+        return true;
+      }));
+  QUICK_RETURN_IF_ERROR(decode);
   return out;
 }
 
@@ -403,8 +429,7 @@ Result<std::vector<VersionIndexEntry>> RecordStore::ScanVersionIndex(
     return Status::InvalidArgument("index " + index_name +
                                    " is not a version index");
   }
-  const std::string prefix = VersionIndexPrefix(index_name);
-  KeyRange range = KeyRange::Prefix(prefix);
+  KeyRange range = KeyRange::All();
   if (after_versionstamp.has_value()) {
     // Strictly after: increment the fixed-width stamp so every entry at the
     // given stamp (any primary key) is excluded.
@@ -417,27 +442,29 @@ Result<std::vector<VersionIndexEntry>> RecordStore::ScanVersionIndex(
       }
       next_stamp[i] = '\x00';
     }
-    range.begin = prefix + next_stamp;
+    range.begin = std::move(next_stamp);
   }
-  fdb::RangeOptions opts;
-  opts.limit = options.limit;
-  opts.reverse = options.reverse;
-  QUICK_ASSIGN_OR_RETURN(std::vector<fdb::KeyValue> kvs,
-                         txn_->GetRange(range, opts, options.snapshot));
   std::vector<VersionIndexEntry> out;
-  out.reserve(kvs.size());
-  for (const fdb::KeyValue& kv : kvs) {
-    if (kv.key.size() < prefix.size() + kVersionstampBytes) {
-      return Status::Internal("corrupt version index entry");
-    }
-    VersionIndexEntry entry;
-    entry.versionstamp = kv.key.substr(prefix.size(), kVersionstampBytes);
-    QUICK_ASSIGN_OR_RETURN(
-        entry.primary_key,
-        tup::Tuple::Decode(std::string_view(kv.key).substr(
-            prefix.size() + kVersionstampBytes)));
-    out.push_back(std::move(entry));
-  }
+  Status decode;
+  QUICK_RETURN_IF_ERROR(ScanIndexEntries(
+      index_name, range, options, [&](std::string_view bytes) {
+        if (bytes.size() < kVersionstampBytes) {
+          decode = Status::Internal("corrupt version index entry");
+          return false;
+        }
+        VersionIndexEntry entry;
+        entry.versionstamp = std::string(bytes.substr(0, kVersionstampBytes));
+        Result<tup::Tuple> pk =
+            tup::Tuple::Decode(bytes.substr(kVersionstampBytes));
+        if (!pk.ok()) {
+          decode = pk.status();
+          return false;
+        }
+        entry.primary_key = *std::move(pk);
+        out.push_back(std::move(entry));
+        return true;
+      }));
+  QUICK_RETURN_IF_ERROR(decode);
   return out;
 }
 

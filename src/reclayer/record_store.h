@@ -4,8 +4,10 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/metrics.h"
 #include "fdb/transaction.h"
 #include "reclayer/metadata.h"
 #include "reclayer/record.h"
@@ -27,6 +29,9 @@ struct StoredRecord {
   Record record;
 };
 
+/// Width of the commit versionstamp that leads a version-index entry.
+inline constexpr size_t kVersionstampBytes = 10;
+
 /// One entry of a version index: the 10-byte commit versionstamp of the
 /// record's last write and its primary key, in commit order.
 struct VersionIndexEntry {
@@ -43,6 +48,21 @@ struct IndexBounds {
   std::optional<tup::Tuple> end;
   bool end_inclusive = false;
 };
+
+/// Receives one index entry as its entry bytes: the entry's key with the
+/// index's own prefix stripped — the tuple encoding of (indexed values...,
+/// primary key...) for a value index, the 10-byte versionstamp followed by
+/// the encoded primary key for a version index. Callers decode only the
+/// fields they use (tup::TupleReader). Return false to stop the scan; the
+/// view is valid only during the call.
+using IndexEntrySink = std::function<bool(std::string_view entry)>;
+
+/// Registry counter of index entries read by RecordStore scans, whatever
+/// their caller decodes ("rl.index.entries_read"): the count bench-smoke
+/// gates to show a queue-zone dequeue reads O(1) entries at any backlog.
+inline constexpr const char* kIndexEntriesReadCounterName =
+    "rl.index.entries_read";
+Counter* IndexEntriesReadCounter();
 
 /// Options for index scans.
 struct IndexScanOptions {
@@ -97,8 +117,8 @@ class RecordStore {
   Result<std::vector<Record>> ScanRecords(int limit = 0);
 
   /// A page of records strictly after `after_primary_key` (nullopt starts
-  /// from the beginning) — the online index builder's resumable scan. The
-  /// read conflict covers only the keys the page spans.
+  /// from the beginning) — the online index builder's resumable scan. A
+  /// strong limited read: a full page conflicts only on the keys it spans.
   Result<std::vector<StoredRecord>> ScanRecordsPage(
       const std::optional<tup::Tuple>& after_primary_key, int limit);
 
@@ -112,6 +132,17 @@ class RecordStore {
   std::string IndexStateKey(const std::string& index_name) const {
     return states_.Pack(tup::Tuple().AddString(index_name));
   }
+
+  /// Streams the entries of a value or version index whose entry bytes
+  /// lie in `range` (begin inclusive, end exclusive; an end of
+  /// KeyRange::All().end runs to the end of the index) to `sink`, in key
+  /// order, stopping at options.limit or when the sink returns false.
+  /// Nothing is materialized, and a strong scan's read conflict stops at
+  /// the last entry read (Transaction::ScanRange). The index-scan methods
+  /// below are collectors over this one scan.
+  Status ScanIndexEntries(const std::string& index_name, const KeyRange& range,
+                          const IndexScanOptions& options,
+                          const IndexEntrySink& sink);
 
   /// Entries of a value index whose indexed values start with `prefix`
   /// (empty prefix scans the whole index), ordered by indexed value.
@@ -203,7 +234,9 @@ class RecordStore {
   /// `deleting`, writes a fresh versionstamped entry and header.
   Status MaintainVersionIndexes(const std::string& record_type,
                                 const tup::Tuple& pk, bool deleting);
-  Result<std::vector<IndexEntry>> ScanIndexRangeImplByKeys(
+  /// Collects a value index's entries in `range` (entry bytes) as
+  /// IndexEntry tuples.
+  Result<std::vector<IndexEntry>> CollectIndexEntries(
       const std::string& index_name, const KeyRange& range,
       const IndexScanOptions& options);
 
@@ -214,9 +247,12 @@ class RecordStore {
   tup::Subspace headers_;  // per-record last-write versionstamps
   tup::Subspace states_;   // per-index lifecycle state (online builds)
   const RecordMetadata* metadata_;
+  /// Indexes this store has found readable; each is checked once per store.
+  std::vector<std::string> readable_indexes_;
 
-  /// Rejects scans of write-only (still building) indexes. Snapshot read:
-  /// never adds conflicts, preserving QuiCK's contention design.
+  /// Rejects scans of write-only (still building) indexes, reading the
+  /// index state once per store. Snapshot read: never adds conflicts,
+  /// preserving QuiCK's contention design.
   Status CheckIndexReadable(const std::string& index_name);
 };
 

@@ -125,150 +125,6 @@ void EncodeElement(const Element& e, std::string* out) {
   }
 }
 
-class Decoder {
- public:
-  explicit Decoder(std::string_view in) : in_(in) {}
-
-  Status DecodeAll(Tuple* out) {
-    while (pos_ < in_.size()) {
-      Element e;
-      QUICK_RETURN_IF_ERROR(DecodeOne(&e, /*nested=*/false));
-      out->Add(std::move(e));
-    }
-    return Status::OK();
-  }
-
- private:
-  Status DecodeOne(Element* out, bool nested) {
-    if (pos_ >= in_.size()) {
-      return Status::InvalidArgument("truncated tuple");
-    }
-    const uint8_t code = Byte(pos_++);
-    switch (code) {
-      case kNullCode:
-        *out = Null{};
-        return Status::OK();
-      case kBytesCode: {
-        std::string s;
-        QUICK_RETURN_IF_ERROR(DecodeEscaped(&s));
-        *out = Bytes{std::move(s)};
-        return Status::OK();
-      }
-      case kStringCode: {
-        std::string s;
-        QUICK_RETURN_IF_ERROR(DecodeEscaped(&s));
-        *out = std::move(s);
-        return Status::OK();
-      }
-      case kNestedCode: {
-        Tuple t;
-        while (true) {
-          if (pos_ >= in_.size()) {
-            return Status::InvalidArgument("unterminated nested tuple");
-          }
-          if (Byte(pos_) == 0x00) {
-            if (pos_ + 1 < in_.size() && Byte(pos_ + 1) == kEscape) {
-              t.AddNull();
-              pos_ += 2;
-              continue;
-            }
-            ++pos_;  // terminator
-            break;
-          }
-          Element e;
-          QUICK_RETURN_IF_ERROR(DecodeOne(&e, /*nested=*/true));
-          t.Add(std::move(e));
-        }
-        *out = std::move(t);
-        return Status::OK();
-      }
-      case kDoubleCode: {
-        if (pos_ + 8 > in_.size()) {
-          return Status::InvalidArgument("truncated double");
-        }
-        uint64_t bits = 0;
-        for (int k = 0; k < 8; ++k) bits = (bits << 8) | Byte(pos_++);
-        *out = SortableBitsToDouble(bits);
-        return Status::OK();
-      }
-      case kFalseCode:
-        *out = false;
-        return Status::OK();
-      case kTrueCode:
-        *out = true;
-        return Status::OK();
-      case kUuidCode: {
-        if (pos_ + 16 > in_.size()) {
-          return Status::InvalidArgument("truncated uuid");
-        }
-        Uuid u;
-        for (int k = 0; k < 16; ++k) u.data[k] = Byte(pos_++);
-        *out = u;
-        return Status::OK();
-      }
-      default:
-        break;
-    }
-    if (code >= kIntZeroCode - 8 && code <= kIntZeroCode + 8) {
-      return DecodeIntBody(code, out);
-    }
-    (void)nested;
-    return Status::InvalidArgument("unknown tuple type code");
-  }
-
-  Status DecodeIntBody(uint8_t code, Element* out) {
-    if (code == kIntZeroCode) {
-      *out = int64_t{0};
-      return Status::OK();
-    }
-    const bool negative = code < kIntZeroCode;
-    const int n = negative ? kIntZeroCode - code : code - kIntZeroCode;
-    if (pos_ + static_cast<size_t>(n) > in_.size()) {
-      return Status::InvalidArgument("truncated integer");
-    }
-    uint64_t raw = 0;
-    for (int k = 0; k < n; ++k) raw = (raw << 8) | Byte(pos_++);
-    if (!negative) {
-      if (n == 8 && raw > static_cast<uint64_t>(INT64_MAX)) {
-        return Status::InvalidArgument("integer overflow");
-      }
-      *out = static_cast<int64_t>(raw);
-      return Status::OK();
-    }
-    const uint64_t max_for_n =
-        n == 8 ? ~uint64_t{0} : ((uint64_t{1} << (8 * n)) - 1);
-    const uint64_t mag = max_for_n - raw;
-    if (n == 8 && mag > static_cast<uint64_t>(INT64_MAX) + 1) {
-      return Status::InvalidArgument("integer underflow");
-    }
-    *out = static_cast<int64_t>(~mag + 1);  // -mag without UB at INT64_MIN
-    return Status::OK();
-  }
-
-  Status DecodeEscaped(std::string* out) {
-    while (true) {
-      if (pos_ >= in_.size()) {
-        return Status::InvalidArgument("unterminated byte string");
-      }
-      const uint8_t b = Byte(pos_++);
-      if (b == 0x00) {
-        if (pos_ < in_.size() && Byte(pos_) == kEscape) {
-          out->push_back('\x00');
-          ++pos_;
-          continue;
-        }
-        return Status::OK();
-      }
-      out->push_back(static_cast<char>(b));
-    }
-  }
-
-  uint8_t Byte(size_t i) const { return static_cast<uint8_t>(in_[i]); }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-};
-
 int TypeRank(const Element& e) {
   // Must match the cross-type order induced by the type codes.
   if (std::holds_alternative<Null>(e)) return 0;
@@ -282,6 +138,154 @@ int TypeRank(const Element& e) {
 }
 
 }  // namespace
+
+Status TupleReader::Read(Element* out) {
+  if (done()) return Status::InvalidArgument("truncated tuple");
+  const uint8_t code = Byte(pos_++);
+  switch (code) {
+    case kNullCode:
+      *out = Null{};
+      return Status::OK();
+    case kBytesCode: {
+      std::string s;
+      QUICK_RETURN_IF_ERROR(ReadEscaped(&s));
+      *out = Bytes{std::move(s)};
+      return Status::OK();
+    }
+    case kStringCode: {
+      std::string s;
+      QUICK_RETURN_IF_ERROR(ReadEscaped(&s));
+      *out = std::move(s);
+      return Status::OK();
+    }
+    case kNestedCode: {
+      Tuple t;
+      QUICK_RETURN_IF_ERROR(ReadNested(&t));
+      *out = std::move(t);
+      return Status::OK();
+    }
+    case kDoubleCode: {
+      if (pos_ + 8 > in_.size()) {
+        return Status::InvalidArgument("truncated double");
+      }
+      uint64_t bits = 0;
+      for (int k = 0; k < 8; ++k) bits = (bits << 8) | Byte(pos_++);
+      *out = SortableBitsToDouble(bits);
+      return Status::OK();
+    }
+    case kFalseCode:
+      *out = false;
+      return Status::OK();
+    case kTrueCode:
+      *out = true;
+      return Status::OK();
+    case kUuidCode: {
+      if (pos_ + 16 > in_.size()) {
+        return Status::InvalidArgument("truncated uuid");
+      }
+      Uuid u;
+      for (int k = 0; k < 16; ++k) u.data[k] = Byte(pos_++);
+      *out = u;
+      return Status::OK();
+    }
+    default:
+      break;
+  }
+  if (code >= kIntZeroCode - 8 && code <= kIntZeroCode + 8) {
+    QUICK_ASSIGN_OR_RETURN(int64_t v, ReadIntBody(code));
+    *out = v;
+    return Status::OK();
+  }
+  return Status::InvalidArgument("unknown tuple type code");
+}
+
+Result<int64_t> TupleReader::ReadInt() {
+  if (done()) return Status::InvalidArgument("truncated tuple");
+  const uint8_t code = Byte(pos_);
+  if (code < kIntZeroCode - 8 || code > kIntZeroCode + 8) {
+    return Status::InvalidArgument("element is not an int");
+  }
+  ++pos_;
+  return ReadIntBody(code);
+}
+
+Result<std::string> TupleReader::ReadString() {
+  if (done()) return Status::InvalidArgument("truncated tuple");
+  if (Byte(pos_) != kStringCode) {
+    return Status::InvalidArgument("element is not a string");
+  }
+  ++pos_;
+  std::string s;
+  QUICK_RETURN_IF_ERROR(ReadEscaped(&s));
+  return s;
+}
+
+Status TupleReader::Skip() {
+  if (!done() && (Byte(pos_) == kStringCode || Byte(pos_) == kBytesCode)) {
+    ++pos_;
+    return ReadEscaped(nullptr);
+  }
+  Element ignored;
+  return Read(&ignored);
+}
+
+Status TupleReader::ReadNested(Tuple* out) {
+  while (true) {
+    if (done()) return Status::InvalidArgument("unterminated nested tuple");
+    if (Byte(pos_) == 0x00) {
+      if (pos_ + 1 < in_.size() && Byte(pos_ + 1) == kEscape) {
+        out->AddNull();
+        pos_ += 2;
+        continue;
+      }
+      ++pos_;  // terminator
+      return Status::OK();
+    }
+    Element e;
+    QUICK_RETURN_IF_ERROR(Read(&e));
+    out->Add(std::move(e));
+  }
+}
+
+Result<int64_t> TupleReader::ReadIntBody(uint8_t code) {
+  if (code == kIntZeroCode) return int64_t{0};
+  const bool negative = code < kIntZeroCode;
+  const int n = negative ? kIntZeroCode - code : code - kIntZeroCode;
+  if (pos_ + static_cast<size_t>(n) > in_.size()) {
+    return Status::InvalidArgument("truncated integer");
+  }
+  uint64_t raw = 0;
+  for (int k = 0; k < n; ++k) raw = (raw << 8) | Byte(pos_++);
+  if (!negative) {
+    if (n == 8 && raw > static_cast<uint64_t>(INT64_MAX)) {
+      return Status::InvalidArgument("integer overflow");
+    }
+    return static_cast<int64_t>(raw);
+  }
+  const uint64_t max_for_n =
+      n == 8 ? ~uint64_t{0} : ((uint64_t{1} << (8 * n)) - 1);
+  const uint64_t mag = max_for_n - raw;
+  if (n == 8 && mag > static_cast<uint64_t>(INT64_MAX) + 1) {
+    return Status::InvalidArgument("integer underflow");
+  }
+  return static_cast<int64_t>(~mag + 1);  // -mag without UB at INT64_MIN
+}
+
+Status TupleReader::ReadEscaped(std::string* out) {
+  while (true) {
+    if (done()) return Status::InvalidArgument("unterminated byte string");
+    const uint8_t b = Byte(pos_++);
+    if (b == 0x00) {
+      if (pos_ < in_.size() && Byte(pos_) == kEscape) {
+        if (out != nullptr) out->push_back('\x00');
+        ++pos_;
+        continue;
+      }
+      return Status::OK();
+    }
+    if (out != nullptr) out->push_back(static_cast<char>(b));
+  }
+}
 
 Result<Uuid> Uuid::FromHex(std::string_view hex) {
   if (hex.size() != 32) {
@@ -388,8 +392,12 @@ std::string Tuple::Encode() const {
 
 Result<Tuple> Tuple::Decode(std::string_view encoded) {
   Tuple t;
-  Decoder d(encoded);
-  QUICK_RETURN_IF_ERROR(d.DecodeAll(&t));
+  TupleReader reader(encoded);
+  while (!reader.done()) {
+    Element e;
+    QUICK_RETURN_IF_ERROR(reader.Read(&e));
+    t.Add(std::move(e));
+  }
   return t;
 }
 

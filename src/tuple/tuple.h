@@ -105,6 +105,38 @@ class Tuple {
 /// Compares single elements with the same order the encoding induces.
 std::strong_ordering CompareElements(const Element& a, const Element& b);
 
+/// Sequential decoder over an encoded tuple: reads one element at a time
+/// without building a Tuple, so a hot scan decodes only the fields it uses
+/// (QueueZone reads an index entry's priority, vesting time and item id
+/// straight from the key bytes). Tuple::Decode is built on it. The reader
+/// only views `encoded`, which must outlive it.
+class TupleReader {
+ public:
+  explicit TupleReader(std::string_view encoded) : in_(encoded) {}
+
+  /// True once every element has been read.
+  bool done() const { return pos_ >= in_.size(); }
+
+  /// Decodes the next element, whatever its type.
+  Status Read(Element* out);
+  /// Decodes the next element, which must be an int.
+  Result<int64_t> ReadInt();
+  /// Decodes the next element, which must be a string.
+  Result<std::string> ReadString();
+  /// Steps over the next element.
+  Status Skip();
+
+ private:
+  Status ReadNested(Tuple* out);
+  Result<int64_t> ReadIntBody(uint8_t code);
+  /// Reads an escaped byte string into `out`; skips it when out is null.
+  Status ReadEscaped(std::string* out);
+  uint8_t Byte(size_t i) const { return static_cast<uint8_t>(in_[i]); }
+
+  std::string_view in_;
+  size_t pos_ = 0;
+};
+
 }  // namespace quick::tup
 
 #endif  // QUICK_TUPLE_TUPLE_H_

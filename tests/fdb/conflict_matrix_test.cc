@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "fdb/database.h"
 
 namespace quick::fdb {
 namespace {
 
+// Seeded keys: "b" and "k1".
 enum class Op {
   kStrongRead,      // Get("k1")
   kSnapshotRead,    // Get("k1", snapshot)
@@ -18,10 +21,19 @@ enum class Op {
   kWriteOther,      // Set("k2")
   kWriteEdge,       // Set("c") — just outside the range read
   kWriteInRange,    // Set("b")
+  kWriteHead,       // Set("a")
   kAtomicAdd,       // Atomic(kAdd, "k1")
   kClearRangeOver,  // ClearRange(["k","l")) covering k1
   kDeclaredRead,    // AddReadConflictKey("k1")
   kDeclaredWrite,   // AddWriteConflictKey("k1")
+  // Limited strong reads conflict only up to the last key they read:
+  kLimitedRead,          // GetRange(["a","l"), limit 1) reads "b"
+  kLimitedReverseRead,   // GetRange(["a","l"), limit 1, reverse) reads "k1"
+  kLimitedReadToEnd,     // GetRange(["b","k"), limit 2) runs out at "b"
+  kBufferedLimitedRead,  // Set("a5"), then kLimitedRead reads "a5"
+  kBufferedLimitedReverseRead,  // Set("k5"), then kLimitedReverseRead
+  kSelectorRead,         // GetKey(FirstGreaterOrEqual("a")) finds "b"
+  kReverseSelectorRead,  // GetKey(LastLessOrEqual("c")) finds "b"
 };
 
 void Apply(Transaction* txn, Op op) {
@@ -47,6 +59,9 @@ void Apply(Transaction* txn, Op op) {
     case Op::kWriteInRange:
       txn->Set("b", "v");
       break;
+    case Op::kWriteHead:
+      txn->Set("a", "v");
+      break;
     case Op::kAtomicAdd:
       txn->Atomic(AtomicOp::kAdd, "k1", EncodeLittleEndian64(1));
       break;
@@ -60,6 +75,42 @@ void Apply(Transaction* txn, Op op) {
     case Op::kDeclaredWrite:
       txn->AddWriteConflictKey("k1");
       break;
+    case Op::kBufferedLimitedRead:
+      txn->Set("a5", "v");
+      [[fallthrough]];
+    case Op::kLimitedRead: {
+      auto kvs = txn->GetRange(KeyRange{"a", "l"}, RangeOptions{.limit = 1});
+      ASSERT_TRUE(kvs.ok() && kvs->size() == 1);
+      EXPECT_EQ(kvs->front().key, op == Op::kLimitedRead ? "b" : "a5");
+      break;
+    }
+    case Op::kBufferedLimitedReverseRead:
+      txn->Set("k5", "v");
+      [[fallthrough]];
+    case Op::kLimitedReverseRead: {
+      auto kvs = txn->GetRange(KeyRange{"a", "l"},
+                               RangeOptions{.limit = 1, .reverse = true});
+      ASSERT_TRUE(kvs.ok() && kvs->size() == 1);
+      EXPECT_EQ(kvs->front().key, op == Op::kLimitedReverseRead ? "k1" : "k5");
+      break;
+    }
+    case Op::kLimitedReadToEnd: {
+      auto kvs = txn->GetRange(KeyRange{"b", "k"}, RangeOptions{.limit = 2});
+      ASSERT_TRUE(kvs.ok() && kvs->size() == 1);
+      break;
+    }
+    case Op::kSelectorRead: {
+      auto key = txn->GetKey(KeySelector::FirstGreaterOrEqual("a"));
+      ASSERT_TRUE(key.ok());
+      EXPECT_EQ(*key, std::optional<std::string>("b"));
+      break;
+    }
+    case Op::kReverseSelectorRead: {
+      auto key = txn->GetKey(KeySelector::LastLessOrEqual("c"));
+      ASSERT_TRUE(key.ok());
+      EXPECT_EQ(*key, std::optional<std::string>("b"));
+      break;
+    }
   }
 }
 
@@ -69,6 +120,11 @@ struct MatrixCase {
   Op t2_op;
   bool t1_must_abort;
 };
+
+// gtest prints each parameter into the listing gtest_discover_tests turns
+// into ctest names; the default would print the struct's bytes, pointer
+// included, so the names would move whenever the binary's layout does.
+void PrintTo(const MatrixCase& c, std::ostream* os) { *os << c.name; }
 
 class ConflictMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 
@@ -130,7 +186,29 @@ INSTANTIATE_TEST_SUITE_P(
         MatrixCase{"snapshot_read_vs_declared_write", Op::kSnapshotRead,
                    Op::kDeclaredWrite, false},
         MatrixCase{"declared_write_vs_write", Op::kDeclaredWrite, Op::kWrite,
-                   false}),
+                   false},
+        MatrixCase{"limited_read_vs_write_past_last", Op::kLimitedRead,
+                   Op::kWriteEdge, false},
+        MatrixCase{"limited_read_vs_write_at_last", Op::kLimitedRead,
+                   Op::kWriteInRange, true},
+        MatrixCase{"limited_read_vs_write_before_last", Op::kLimitedRead,
+                   Op::kWriteHead, true},
+        MatrixCase{"limited_reverse_read_vs_write_past_last",
+                   Op::kLimitedReverseRead, Op::kWriteEdge, false},
+        MatrixCase{"limited_reverse_read_vs_write_at_last",
+                   Op::kLimitedReverseRead, Op::kWrite, true},
+        MatrixCase{"limited_reverse_read_vs_write_before_last",
+                   Op::kLimitedReverseRead, Op::kWriteOther, true},
+        MatrixCase{"limited_read_to_end_vs_write_past_last",
+                   Op::kLimitedReadToEnd, Op::kWriteEdge, true},
+        MatrixCase{"buffered_limited_read_vs_write_past_last",
+                   Op::kBufferedLimitedRead, Op::kWriteInRange, false},
+        MatrixCase{"buffered_limited_reverse_read_vs_write_past_last",
+                   Op::kBufferedLimitedReverseRead, Op::kWrite, false},
+        MatrixCase{"selector_read_vs_write_past_found", Op::kSelectorRead,
+                   Op::kWriteEdge, false},
+        MatrixCase{"reverse_selector_read_vs_write_past_found",
+                   Op::kReverseSelectorRead, Op::kWriteHead, false}),
     [](const ::testing::TestParamInfo<MatrixCase>& info) {
       return info.param.name;
     });

@@ -10,9 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <map>
-
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -194,6 +195,65 @@ TEST_P(SerializabilityTest, AtomicIncrementsNeverLost) {
   Transaction probe = db.CreateTransaction();
   EXPECT_EQ(DecodeLittleEndian64(probe.Get("n").value().value()),
             static_cast<uint64_t>(kThreads * kIncrements));
+}
+
+// Limited strong reads conflict only on the keys they read (the clip at
+// the last returned key). Consumers that pop the head of a queue with a
+// limit-1 strong read, while producers append behind it, must still take
+// every item exactly once.
+TEST_P(SerializabilityTest, LimitedHeadReadsPopEachItemOnce) {
+  Database db("queue", Opts());
+  constexpr int kProducers = 2;
+  constexpr int kPerProducer = 150;
+  constexpr int kConsumers = 3;
+  const KeyRange queue = KeyRange::Prefix("q/");
+  std::atomic<int> producers_left{kProducers};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&db, &producers_left, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        char key[32];
+        std::snprintf(key, sizeof(key), "q/%05d/%d", i, p);
+        Status st = RunTransaction(&db, [&](Transaction& txn) {
+          txn.Set(key, "v");
+          return Status::OK();
+        });
+        ASSERT_TRUE(st.ok()) << st;
+      }
+      producers_left.fetch_sub(1);
+    });
+  }
+  std::vector<std::vector<std::string>> popped(kConsumers);
+  for (int c = 0; c < kConsumers; ++c) {
+    threads.emplace_back([&, c] {
+      while (true) {
+        const bool producing = producers_left.load() > 0;
+        std::optional<std::string> head;
+        Status st = RunTransaction(&db, [&](Transaction& txn) {
+          head.reset();
+          QUICK_ASSIGN_OR_RETURN(std::vector<KeyValue> kvs,
+                                 txn.GetRange(queue, RangeOptions{.limit = 1}));
+          if (kvs.empty()) return Status::OK();
+          head = kvs.front().key;
+          txn.Clear(*head);
+          return Status::OK();
+        });
+        ASSERT_TRUE(st.ok()) << st;
+        if (head.has_value()) {
+          popped[c].push_back(*head);
+        } else if (!producing) {
+          return;  // drained after every append committed
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::map<std::string, int> times;
+  for (const auto& keys : popped) {
+    for (const std::string& key : keys) ++times[key];
+  }
+  EXPECT_EQ(times.size(), static_cast<size_t>(kProducers * kPerProducer));
+  for (const auto& [key, n] : times) EXPECT_EQ(n, 1) << key;
 }
 
 INSTANTIATE_TEST_SUITE_P(GroupCommit, SerializabilityTest,

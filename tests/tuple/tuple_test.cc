@@ -220,5 +220,37 @@ TEST(TupleTest, NestedNullVsNestedEmpty) {
   EXPECT_EQ(b->GetTuple(0).value().size(), 0u);
 }
 
+TEST(TupleTest, ReaderDecodesOneElementAtATime) {
+  Tuple t;
+  t.AddInt(-3)
+      .AddString(std::string("a\0b", 3))
+      .AddBytes("raw")
+      .AddTuple(Tuple().AddNull().AddInt(7))
+      .AddDouble(1.5)
+      .AddNull()
+      .AddString("id");
+  const std::string encoded = t.Encode();  // the reader only views it
+  TupleReader reader(encoded);
+  EXPECT_EQ(reader.ReadInt().value(), -3);
+  EXPECT_EQ(reader.ReadString().value(), std::string("a\0b", 3));
+  // Typed reads reject other types without consuming the element.
+  EXPECT_FALSE(reader.ReadString().ok());
+  EXPECT_FALSE(reader.ReadInt().ok());
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(reader.Skip().ok());
+  EXPECT_EQ(reader.ReadString().value(), "id");
+  EXPECT_TRUE(reader.done());
+  EXPECT_FALSE(reader.Skip().ok());
+}
+
+TEST(TupleTest, ReaderRejectsTruncatedInput) {
+  const std::string encoded = Tuple().AddString("abc").AddInt(1 << 20).Encode();
+  const std::string_view bytes = encoded;  // the readers only view it
+  TupleReader string_cut(bytes.substr(0, 3));
+  EXPECT_FALSE(string_cut.Skip().ok());
+  TupleReader int_cut(bytes.substr(0, bytes.size() - 1));
+  ASSERT_TRUE(int_cut.Skip().ok());
+  EXPECT_FALSE(int_cut.ReadInt().ok());
+}
+
 }  // namespace
 }  // namespace quick::tup
