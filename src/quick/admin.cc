@@ -246,32 +246,20 @@ Result<int64_t> QuickAdmin::DeadLetterCount(const ck::DatabaseId& db_id) {
 
 Status QuickAdmin::RequeueDeadLetter(const ck::DatabaseId& db_id,
                                      const std::string& item_id) {
-  const ck::DatabaseRef db = quick_->cloudkit()->OpenDatabase(db_id);
-  const TraceHooks hooks(quick_->tracer(), quick_->clock(), "admin");
-  const int64_t start_micros = hooks.enabled() ? hooks.NowMicros() : 0;
-  EnqueueFollowUp follow_up;
-  Status st = fdb::RunTransaction(db.cluster, [&](fdb::Transaction& txn) {
+  auto take = [this, item_id](fdb::Transaction& txn, const ck::DatabaseRef& db,
+                              std::vector<WorkItem>* items) -> Status {
     ck::QueueZone zone = quick_->OpenTenantZone(db, &txn);
     QUICK_ASSIGN_OR_RETURN(ck::DeadLetterItem dl,
                            zone.TakeDeadLetter(item_id));
-    WorkItem item;
-    item.id = dl.id;
-    item.job_type = dl.job_type;
-    item.payload = dl.payload;
-    item.priority = dl.priority;
-    return quick_
-        ->EnqueueInTransaction(&txn, db, item, /*vesting_delay_millis=*/0,
-                               &follow_up)
-        .status();
-  });
-  QUICK_RETURN_IF_ERROR(st);
-  if (hooks.enabled()) {
-    // A birth stage: the item re-enters the live queue; its chain opens a
-    // new incarnation that must reach its own terminal span.
-    hooks.Record(item_id, stage::kDeadLetterRequeued, start_micros,
-                 hooks.NowMicros(), "db=" + db_id.ToString());
-  }
-  quick_->ExecuteFollowUp(db, follow_up);
+    items->push_back({.job_type = dl.job_type,
+                      .payload = dl.payload,
+                      .priority = dl.priority,
+                      .id = dl.id});
+    return Status::OK();
+  };
+  const ProduceRequest request{
+      .db_id = db_id, .body = take, .dead_letter_requeue = true};
+  QUICK_RETURN_IF_ERROR(quick_->Produce(request).Get().status());
   RequeuedMetric()->Increment();
   return Status::OK();
 }

@@ -108,10 +108,10 @@ class QuickAdmin {
   Result<int64_t> DeadLetterCount(const ck::DatabaseId& db_id);
 
   /// Moves a dead-lettered item back into the tenant's live queue under
-  /// its original id, payload, and priority — through the full enqueue
-  /// protocol, so the Q_C pointer is recreated when missing and the item
-  /// is immediately findable. Removal from the quarantine and re-enqueue
-  /// commit in one transaction; the error count restarts at zero.
+  /// its original id, payload, and priority — as one uncharged
+  /// Quick::Produce request, so the Q_C pointer is recreated when missing
+  /// and the item is immediately findable. Removal from the quarantine and
+  /// re-enqueue commit in one transaction; the error count restarts at zero.
   Status RequeueDeadLetter(const ck::DatabaseId& db_id,
                            const std::string& item_id);
 

@@ -36,7 +36,7 @@ class AdmissionGate {
  public:
   virtual ~AdmissionGate() = default;
 
-  /// Producer-side check on Quick::Enqueue/EnqueueBatch (`cost` = items).
+  /// Producer-side check on every tenant enqueue (`cost` = items).
   virtual AdmissionDecision AdmitEnqueue(const ck::DatabaseId& db_id,
                                          const std::string& cluster,
                                          int64_t cost) = 0;

@@ -34,11 +34,6 @@ struct QuickConfig {
   /// pointer's vesting time when it exceeds the new item's vesting by more
   /// than this slack.
   int64_t pointer_vesting_slack_millis = 1000;
-  /// Enqueue retries when a tenant is fenced mid-migration (kTenantMoving):
-  /// each attempt re-resolves placement, so once the move's flip lands the
-  /// enqueue proceeds at the destination.
-  int move_retry_attempts = 10;
-  int64_t move_retry_delay_millis = 20;
 };
 
 /// Per-cluster circuit breaker (closed → open → half-open) guarding the
@@ -122,11 +117,6 @@ struct ConsumerConfig {
   /// shards are still visited at this rate. A consumer owning zero shards
   /// always steals exactly one.
   double steal_probability = 0.05;
-  /// TTL of the consumer's membership announcement; stripe assignment
-  /// rebalances when a consumer's announcement expires (crash) or a new
-  /// one appears. Defaults to the pointer-lease scale: 4 * idle_sleep
-  /// bounded below by 1s, same as the sequential-scanner election TTL.
-  int64_t membership_ttl_millis = 0;  // 0 = derive from idle_sleep_millis
 
   // --- Async pipelined mode (DESIGN.md §11) ---
   /// Drive the consumer as a pipelined state machine: lease / dequeue /

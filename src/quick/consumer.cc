@@ -290,8 +290,6 @@ Result<int> Consumer::ScanClusterOnce(const std::string& cluster_name,
 bool Consumer::IsSequential(const std::string& cluster_name,
                             const std::string& shard_zone) {
   if (election_ == nullptr) return config_.sequential;
-  const int64_t ttl =
-      std::max<int64_t>(1000, 4 * config_.idle_sleep_millis);
   // Unsharded clusters keep the legacy per-cluster election key; sharded
   // ones elect one sequential scanner per (cluster, shard) so every shard
   // has its own no-starvation scanner (DESIGN.md §12).
@@ -299,7 +297,7 @@ bool Consumer::IsSequential(const std::string& cluster_name,
       shard_zone == quick_->config().top_zone_name
           ? "quick-seq|" + cluster_name
           : "quick-seq|" + cluster_name + "|" + shard_zone;
-  return election_->TryAcquire(key, id_, ttl);
+  return election_->TryAcquire(key, id_, ElectionTtlMillis());
 }
 
 Consumer::ShardPlan Consumer::PlanShards(const std::string& cluster_name) {
@@ -318,7 +316,7 @@ Consumer::ShardPlan Consumer::PlanShards(const std::string& cluster_name) {
     // announcing and drops out at TTL expiry; its shards re-rendezvous to
     // the survivors — until then, work-stealing keeps them from starving.
     const std::string group = "quick-stripe|" + cluster_name;
-    election_->Announce(group, id_, MembershipTtlMillis());
+    election_->Announce(group, id_, ElectionTtlMillis());
     const std::vector<std::string> members = election_->Members(group);
     std::vector<std::string> foreign;
     for (std::string& shard : all) {

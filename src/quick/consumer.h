@@ -225,8 +225,9 @@ class Consumer {
     int stolen = 0;  // 1 when a foreign shard was added this scan
   };
   ShardPlan PlanShards(const std::string& cluster_name);
-  int64_t MembershipTtlMillis() const {
-    if (config_.membership_ttl_millis > 0) return config_.membership_ttl_millis;
+  /// TTL of the sequential-scanner election and of the stripe membership
+  /// announcement: 4 × idle_sleep, bounded below by 1 s.
+  int64_t ElectionTtlMillis() const {
     return std::max<int64_t>(1000, 4 * config_.idle_sleep_millis);
   }
 

@@ -14,7 +14,7 @@ Result<std::string> Quick::EnqueueInTransaction(fdb::Transaction* txn,
                                                 EnqueueFollowUp* follow_up) {
   // Migration fence: a strong read of the tenant's MoveState key. When a
   // move has sealed the tenant, back off (kTenantMoving — non-retryable,
-  // so it escapes the FDB retry loop; Enqueue's outer loop re-resolves
+  // so it escapes the FDB retry loop; the producer runner re-resolves
   // placement). When no fence is up, the read makes this enqueue conflict
   // with a racing seal transaction's write — any enqueue serialized after
   // the seal is guaranteed to have seen it, which is what makes the
@@ -48,8 +48,10 @@ Result<std::string> Quick::EnqueueInTransaction(fdb::Transaction* txn,
     if (head.empty()) {
       is_front = true;
     } else {
-      QUICK_ASSIGN_OR_RETURN(int64_t head_priority, head[0].indexed_values.GetInt(0));
-      QUICK_ASSIGN_OR_RETURN(int64_t head_vesting, head[0].indexed_values.GetInt(1));
+      QUICK_ASSIGN_OR_RETURN(int64_t head_priority,
+                             head[0].indexed_values.GetInt(0));
+      QUICK_ASSIGN_OR_RETURN(int64_t head_vesting,
+                             head[0].indexed_values.GetInt(1));
       const int64_t item_vesting =
           clock()->NowMillis() + vesting_delay_millis;
       is_front = std::make_pair(item.priority, item_vesting) <
@@ -123,69 +125,147 @@ void Quick::ExecuteFollowUp(const ck::DatabaseRef& db,
   (void)txn.Commit();  // ignore failures: optimization only
 }
 
-Status Quick::AdmitEnqueue(const ck::DatabaseId& db_id, int64_t cost) {
-  if (admission_ == nullptr) return Status::OK();
-  const std::string cluster = ck_->placement()->AssignOrGet(db_id);
-  const AdmissionDecision d = admission_->AdmitEnqueue(db_id, cluster, cost);
-  if (d.admitted()) return Status::OK();
-  const TraceHooks hooks(tracer_, clock(), "producer");
-  if (hooks.enabled()) {
-    const char* name = d.outcome == AdmissionDecision::Outcome::kShed
-                           ? stage::kAdmissionShed
-                           : stage::kAdmissionThrottled;
-    // Pre-birth denial: no item id exists, so the span chain is keyed by
-    // the tenant.
-    hooks.Mark(db_id.ToString(), name,
-               std::string("level=") + d.level + " retry_after_ms=" +
-                   std::to_string(d.retry_after_millis));
+// ---------------------------------------------------------------------------
+// The producer runner. Like the consumer's RunStep, a synchronous request
+// keeps the blocking commit on the calling thread; a request given an
+// executor commits through RunTransactionAsync and re-arms fence retries
+// with PostAfter, so no thread parks for a commit or a backoff.
+// ---------------------------------------------------------------------------
+
+struct Quick::Production {
+  ProduceRequest request;
+  fdb::Executor* exec = nullptr;
+  fdb::CancelToken cancel{};
+  int64_t start_micros = 0;
+  int attempt = 0;
+  // Set by each attempt; the committed one's values are the request's.
+  ck::DatabaseRef db{};
+  std::vector<std::string> ids{};
+  EnqueueFollowUp follow_up{};
+  fdb::Promise<Result<std::vector<std::string>>> promise{};
+};
+
+fdb::Future<Result<std::vector<std::string>>> Quick::Produce(
+    ProduceRequest request, fdb::Executor* exec, fdb::CancelToken cancel) {
+  auto p = std::make_shared<Production>(Production{
+      std::move(request), exec, std::move(cancel), clock()->NowMicros()});
+  const ck::DatabaseId& db_id = p->request.db_id;
+  // Admission is checked once per request, before any transaction work;
+  // fence retries never re-charge the buckets.
+  if (admission_ != nullptr && !p->request.dead_letter_requeue) {
+    const AdmissionDecision d = admission_->AdmitEnqueue(
+        db_id, ck_->placement()->AssignOrGet(db_id),
+        static_cast<int64_t>(p->request.items.size()));
+    if (!d.admitted()) {
+      // Pre-birth denial: no item id exists, so the span chain is keyed
+      // by the tenant.
+      const TraceHooks hooks(tracer_, clock(), "producer");
+      if (hooks.enabled()) {
+        hooks.Mark(db_id.ToString(),
+                   d.outcome == AdmissionDecision::Outcome::kShed
+                       ? stage::kAdmissionShed
+                       : stage::kAdmissionThrottled,
+                   std::string("level=") + d.level + " retry_after_ms=" +
+                       std::to_string(d.retry_after_millis));
+      }
+      p->promise.Set(ThrottledStatus(d));
+      return p->promise.GetFuture();
+    }
   }
-  return ThrottledStatus(d);
+  ProduceAttempt(p);
+  return p->promise.GetFuture();
+}
+
+void Quick::ProduceAttempt(const std::shared_ptr<Production>& p) {
+  // Re-resolve placement each attempt: after a move's flip the tenant's
+  // new home admits the request.
+  p->db = ck_->OpenDatabase(p->request.db_id);
+  auto body = [this, p](fdb::Transaction& txn) -> Status {
+    std::vector<WorkItem> items = p->request.items;
+    if (p->request.body) {
+      QUICK_RETURN_IF_ERROR(p->request.body(txn, p->db, &items));
+    }
+    p->ids.clear();
+    for (const WorkItem& item : items) {
+      // Only the first item can create the pointer; later ones see the
+      // buffered index entry through read-your-writes, so the first item's
+      // follow-up is the request's.
+      EnqueueFollowUp follow_up;
+      QUICK_ASSIGN_OR_RETURN(
+          std::string id,
+          EnqueueInTransaction(&txn, p->db, item,
+                               p->request.vesting_delay_millis, &follow_up));
+      if (p->ids.empty()) p->follow_up = follow_up;
+      p->ids.push_back(std::move(id));
+    }
+    return Status::OK();
+  };
+  auto then = [this, p](const Status& st) {
+    if (!st.IsTenantMoving() || p->attempt++ >= kMoveRetryAttempts) {
+      ProduceDone(*p, st);
+    } else if (p->exec == nullptr) {
+      clock()->SleepMillis(kMoveRetryDelayMillis);
+      ProduceAttempt(p);
+    } else {
+      p->exec->PostAfter(kMoveRetryDelayMillis,
+                         [this, p] { ProduceAttempt(p); });
+    }
+  };
+  if (p->exec == nullptr) {
+    then(fdb::RunTransaction(p->db.cluster, body));
+  } else {
+    fdb::RunTransactionAsync(p->db.cluster, body, p->exec, p->cancel)
+        .OnReady(then);
+  }
+}
+
+void Quick::ProduceDone(Production& p, const Status& st) {
+  if (!st.ok()) {
+    p.promise.Set(st);
+    return;
+  }
+  tenant_metrics_.OnEnqueued(p.request.db_id,
+                             static_cast<int64_t>(p.ids.size()));
+  // Birth spans are keyed by the ids EnqueueInTransaction assigned and
+  // recorded only for committed requests. An operator requeue opens a new
+  // incarnation that must reach its own terminal span.
+  const bool requeue = p.request.dead_letter_requeue;
+  const TraceHooks hooks(tracer_, clock(), requeue ? "admin" : "producer");
+  if (hooks.enabled() && !p.ids.empty()) {
+    const int64_t end_micros = hooks.NowMicros();
+    for (const std::string& id : p.ids) {
+      hooks.Record(id, requeue ? stage::kDeadLetterRequeued : stage::kEnqueued,
+                   p.start_micros, end_micros,
+                   "db=" + p.request.db_id.ToString() +
+                       " batch=" + std::to_string(p.ids.size()) +
+                       " delay_ms=" +
+                       std::to_string(p.request.vesting_delay_millis));
+    }
+    if (!p.follow_up.pointer_existed) {
+      hooks.Record(p.follow_up.pointer.Key(), stage::kPointerCreated,
+                   p.start_micros, end_micros, std::string(),
+                   /*parent=*/p.ids.front());
+    }
+  }
+  ExecuteFollowUp(p.db, p.follow_up);
+  p.promise.Set(p.ids);
 }
 
 Result<std::string> Quick::Enqueue(const ck::DatabaseId& db_id,
                                    const WorkItem& item,
                                    int64_t vesting_delay_millis) {
-  // Admission is checked once per client request, before any transaction
-  // work; kTenantMoving retries below never re-charge the buckets.
-  QUICK_RETURN_IF_ERROR(AdmitEnqueue(db_id, /*cost=*/1));
-  const TraceHooks hooks(tracer_, clock(), "producer");
-  const int64_t start_micros = hooks.enabled() ? hooks.NowMicros() : 0;
-  std::string item_id;
-  EnqueueFollowUp follow_up;
-  ck::DatabaseRef db;
-  Status st;
-  for (int attempt = 0;; ++attempt) {
-    // Re-resolve placement each attempt: after a move's flip the tenant's
-    // new home admits the enqueue.
-    db = ck_->OpenDatabase(db_id);
-    st = fdb::RunTransaction(db.cluster, [&](fdb::Transaction& txn) {
-      Result<std::string> r = EnqueueInTransaction(&txn, db, item,
-                                                   vesting_delay_millis,
-                                                   &follow_up);
-      QUICK_RETURN_IF_ERROR(r.status());
-      item_id = *r;
-      return Status::OK();
-    });
-    if (!st.IsTenantMoving() || attempt >= config_.move_retry_attempts) break;
-    clock()->SleepMillis(config_.move_retry_delay_millis);
-  }
-  QUICK_RETURN_IF_ERROR(st);
-  tenant_metrics_.OnEnqueued(db_id, 1);
-  // Enqueue-commit span: the trace id is the item id EnqueueInTransaction
-  // assigned; spans are recorded only for committed enqueues (an aborted
-  // client transaction never produced an item).
-  if (hooks.enabled()) {
-    hooks.Record(item_id, stage::kEnqueued, start_micros, hooks.NowMicros(),
-                 "db=" + db_id.ToString() +
-                     " delay_ms=" + std::to_string(vesting_delay_millis));
-    if (!follow_up.pointer_existed) {
-      hooks.Record(follow_up.pointer.Key(), stage::kPointerCreated,
-                   start_micros, hooks.NowMicros(), std::string(),
-                   /*parent=*/item_id);
-    }
-  }
-  ExecuteFollowUp(db, follow_up);
-  return item_id;
+  QUICK_ASSIGN_OR_RETURN(std::vector<std::string> ids,
+                         EnqueueBatch(db_id, {item}, vesting_delay_millis));
+  return ids.front();
+}
+
+Result<std::vector<std::string>> Quick::EnqueueBatch(
+    const ck::DatabaseId& db_id, const std::vector<WorkItem>& items,
+    int64_t vesting_delay_millis) {
+  return Produce({.db_id = db_id,
+                  .vesting_delay_millis = vesting_delay_millis,
+                  .items = items})
+      .Get();
 }
 
 fdb::Future<Status> Quick::EnqueueAsync(const ck::DatabaseId& db_id,
@@ -194,127 +274,17 @@ fdb::Future<Status> Quick::EnqueueAsync(const ck::DatabaseId& db_id,
                                         std::string* item_id_out,
                                         fdb::Executor* exec,
                                         fdb::CancelToken cancel) {
-  auto promise = std::make_shared<fdb::Promise<Status>>();
-  Status admit = AdmitEnqueue(db_id, /*cost=*/1);
-  if (!admit.ok()) {
-    if (item_id_out != nullptr) item_id_out->clear();
-    promise->Set(admit);
-    return promise->GetFuture();
-  }
   // The id is picked up front so the caller (and a workflow's deterministic
   // id scheme) knows it before the commit resolves; Q_DB's Enqueue is
   // idempotent on a set id.
   WorkItem fixed = item;
   if (fixed.id.empty()) fixed.id = Random::ThreadLocal().NextUuid();
   if (item_id_out != nullptr) *item_id_out = fixed.id;
-
-  struct AsyncState {
-    ck::DatabaseRef db;
-    EnqueueFollowUp follow_up;
-    int attempt = 0;
-  };
-  auto state = std::make_shared<AsyncState>();
-  const int64_t start_micros = clock()->NowMicros();
-  // Self-referencing attempt closure: the shared function re-arms itself
-  // through PostAfter on a migration fence, mirroring Enqueue's placement
-  // re-resolution loop without parking a thread. The terminal path clears
-  // *attempt_fn to break the ownership cycle.
-  auto attempt_fn = std::make_shared<std::function<void()>>();
-  *attempt_fn = [this, db_id, fixed, vesting_delay_millis, exec, cancel,
-                 promise, state, attempt_fn, start_micros]() {
-    state->db = ck_->OpenDatabase(db_id);
-    fdb::RunTransactionAsync(
-        state->db.cluster,
-        [this, state, fixed, vesting_delay_millis](fdb::Transaction& txn) {
-          return EnqueueInTransaction(&txn, state->db, fixed,
-                                      vesting_delay_millis, &state->follow_up)
-              .status();
-        },
-        exec, cancel)
-        .OnReady([this, db_id, fixed, vesting_delay_millis, exec, promise,
-                  state, attempt_fn, start_micros](const Status& st) {
-          if (st.IsTenantMoving() &&
-              state->attempt < config_.move_retry_attempts) {
-            ++state->attempt;
-            exec->PostAfter(config_.move_retry_delay_millis,
-                            [attempt_fn]() { (*attempt_fn)(); });
-            return;
-          }
-          if (st.ok()) {
-            tenant_metrics_.OnEnqueued(db_id, 1);
-            const TraceHooks hooks(tracer_, clock(), "producer");
-            if (hooks.enabled()) {
-              hooks.Record(fixed.id, stage::kEnqueued, start_micros,
-                           hooks.NowMicros(),
-                           "db=" + db_id.ToString() + " async delay_ms=" +
-                               std::to_string(vesting_delay_millis));
-              if (!state->follow_up.pointer_existed) {
-                hooks.Record(state->follow_up.pointer.Key(),
-                             stage::kPointerCreated, start_micros,
-                             hooks.NowMicros(), std::string(),
-                             /*parent=*/fixed.id);
-              }
-            }
-            ExecuteFollowUp(state->db, state->follow_up);
-          }
-          promise->Set(st);
-          // No attempt is mid-execution here (this is the OnReady
-          // continuation); dropping the function frees the cycle.
-          *attempt_fn = nullptr;
-        });
-  };
-  (*attempt_fn)();
-  return promise->GetFuture();
-}
-
-Result<std::vector<std::string>> Quick::EnqueueBatch(
-    const ck::DatabaseId& db_id, const std::vector<WorkItem>& items,
-    int64_t vesting_delay_millis) {
-  QUICK_RETURN_IF_ERROR(
-      AdmitEnqueue(db_id, static_cast<int64_t>(items.size())));
-  const TraceHooks hooks(tracer_, clock(), "producer");
-  const int64_t start_micros = hooks.enabled() ? hooks.NowMicros() : 0;
-  std::vector<std::string> ids;
-  EnqueueFollowUp follow_up;
-  ck::DatabaseRef db;
-  Status st;
-  for (int attempt = 0;; ++attempt) {
-    db = ck_->OpenDatabase(db_id);
-    st = fdb::RunTransaction(db.cluster, [&](fdb::Transaction& txn) {
-      ids.clear();
-      for (const WorkItem& item : items) {
-        // Only the first item can create the pointer; later ones see the
-        // buffered index entry through read-your-writes.
-        EnqueueFollowUp item_follow_up;
-        Result<std::string> r = EnqueueInTransaction(
-            &txn, db, item, vesting_delay_millis, &item_follow_up);
-        QUICK_RETURN_IF_ERROR(r.status());
-        ids.push_back(*r);
-        if (ids.size() == 1) follow_up = item_follow_up;
-      }
-      return Status::OK();
-    });
-    if (!st.IsTenantMoving() || attempt >= config_.move_retry_attempts) break;
-    clock()->SleepMillis(config_.move_retry_delay_millis);
-  }
-  QUICK_RETURN_IF_ERROR(st);
-  tenant_metrics_.OnEnqueued(db_id, static_cast<int64_t>(ids.size()));
-  if (hooks.enabled()) {
-    const int64_t end_micros = hooks.NowMicros();
-    for (const std::string& id : ids) {
-      hooks.Record(id, stage::kEnqueued, start_micros, end_micros,
-                   "db=" + db_id.ToString() + " batch=" +
-                       std::to_string(ids.size()) +
-                       " delay_ms=" + std::to_string(vesting_delay_millis));
-    }
-    if (!follow_up.pointer_existed && !ids.empty()) {
-      hooks.Record(follow_up.pointer.Key(), stage::kPointerCreated,
-                   start_micros, end_micros, std::string(),
-                   /*parent=*/ids.front());
-    }
-  }
-  ExecuteFollowUp(db, follow_up);
-  return ids;
+  return Produce({.db_id = db_id,
+                  .vesting_delay_millis = vesting_delay_millis,
+                  .items = {std::move(fixed)}},
+                 exec, std::move(cancel))
+      .Then([](const auto& ids) { return ids.status(); });
 }
 
 Result<std::string> Quick::EnqueueLocal(const std::string& cluster_name,

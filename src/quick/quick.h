@@ -2,6 +2,7 @@
 #define QUICK_QUICK_QUICK_H_
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,6 +50,22 @@ struct EnqueueFollowUp {
   std::string item_id;
 };
 
+/// One request for Quick::Produce (DESIGN.md §11): the items to enqueue
+/// plus the caller's own writes, committed in one transaction.
+struct ProduceRequest {
+  ck::DatabaseId db_id;
+  int64_t vesting_delay_millis = 0;
+  std::vector<WorkItem> items{};  // admission charges one token each
+  /// Optional: the caller's writes, run first in every attempt's
+  /// transaction on the tenant's current home `db`; may append items.
+  std::function<Status(fdb::Transaction&, const ck::DatabaseRef& db,
+                       std::vector<WorkItem>* items)>
+      body = nullptr;
+  /// An operator requeue out of the quarantine: uncharged, and its items
+  /// are reborn with kDeadLetterRequeued (actor "admin").
+  bool dead_letter_requeue = false;
+};
+
 /// QuiCK's public API: transactional enqueue of deferred work items into
 /// per-tenant queue zones, with the per-cluster top-level queue and pointer
 /// index maintained as the paper describes (§6). Consumers are created via
@@ -75,21 +92,34 @@ class Quick {
   void ExecuteFollowUp(const ck::DatabaseRef& db,
                        const EnqueueFollowUp& follow_up);
 
-  /// Convenience: runs part one in its own transaction, then part two.
-  /// Returns the enqueued item id.
+  /// Migration-fence retries per producer request, each re-resolving
+  /// placement so the request lands at a moved tenant's new home.
+  static constexpr int kMoveRetryAttempts = 10;
+  static constexpr int64_t kMoveRetryDelayMillis = 20;
+
+  /// The producer runner; every tenant enqueue is one request. Checks
+  /// admission once, then commits the body's writes and part one for each
+  /// item, retrying a migration fence; after commit it counts the items in
+  /// ck.tenant.enqueued, records their birth spans (and kPointerCreated
+  /// when the request made the pointer) and runs part two. Without `exec`
+  /// it commits on the calling thread and returns a ready future; with
+  /// one it commits through RunTransactionAsync, and `exec` and this Quick
+  /// must outlive the future. Resolves with the item ids.
+  fdb::Future<Result<std::vector<std::string>>> Produce(
+      ProduceRequest request, fdb::Executor* exec = nullptr,
+      fdb::CancelToken cancel = {});
+
+  /// Convenience: a one-item EnqueueBatch. Returns the enqueued item id.
   Result<std::string> Enqueue(const ck::DatabaseId& db_id, const WorkItem& item,
                               int64_t vesting_delay_millis = 0);
 
   /// Enqueue's pipelined twin (DESIGN.md §11 applied to the producer
-  /// path): part one rides the cluster's async group-commit pipeline via
-  /// RunTransactionAsync, so the calling thread never blocks on a commit
-  /// RTT. The item id is picked up front and written to *item_id_out (when
-  /// non-null) before the future resolves — the id is only meaningful once
-  /// the future resolves OK. Admission is checked synchronously; a
-  /// migration fence re-arms the attempt on `exec` after
-  /// move_retry_delay_millis, up to move_retry_attempts times. Metrics,
-  /// spans, and the best-effort follow-up run on the executor after the
-  /// commit. `exec` and this Quick must outlive the returned future.
+  /// path): Produce with `exec`, so the calling thread never blocks on a
+  /// commit RTT. The item id is picked up front and written to
+  /// *item_id_out (when non-null) before the future resolves — the id is
+  /// only meaningful once the future resolves OK. Admission is checked
+  /// synchronously; metrics, spans, and the best-effort follow-up run on
+  /// the executor after the commit.
   fdb::Future<Status> EnqueueAsync(const ck::DatabaseId& db_id,
                                    const WorkItem& item,
                                    int64_t vesting_delay_millis,
@@ -220,8 +250,8 @@ class Quick {
   /// capture the tracer at construction).
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  /// Admission gate consulted by Enqueue/EnqueueBatch and by consumer
-  /// dispatch. Null (the default) admits everything. Not thread-safe;
+  /// Admission gate consulted by every tenant enqueue (Produce) and by
+  /// consumer dispatch. Null (the default) admits everything. Not thread-safe;
   /// call during setup.
   AdmissionGate* admission() const { return admission_; }
   void set_admission(AdmissionGate* gate) { admission_ = gate; }
@@ -230,8 +260,10 @@ class Quick {
   TenantMetrics* tenant_metrics() { return &tenant_metrics_; }
 
  private:
-  /// Producer-side admission check; OK or the client-visible refusal.
-  Status AdmitEnqueue(const ck::DatabaseId& db_id, int64_t cost);
+  /// One Produce request in flight; its attempts, then its epilogue.
+  struct Production;
+  void ProduceAttempt(const std::shared_ptr<Production>& p);
+  void ProduceDone(Production& p, const Status& st);
 
   std::vector<std::string> ShardNames(int n) const {
     if (n <= 1) return {config_.top_zone_name};

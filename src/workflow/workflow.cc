@@ -15,23 +15,28 @@ using core::stage::kWorkflowStarted;
 using core::stage::kWorkflowStepFinish;
 using core::stage::kWorkflowStepStart;
 
-/// Same-transaction WorkflowRecord read-modify-write. `mutate` sees the
-/// decoded record and returns false to skip the write-back.
-Status MutateRecord(fdb::Transaction& txn, const std::string& key,
-                    Clock* clock,
-                    const std::function<void(ck::WorkflowRecord&)>& mutate) {
-  QUICK_ASSIGN_OR_RETURN(std::optional<std::string> raw, txn.Get(key));
-  if (!raw.has_value()) {
-    return Status::Internal("workflow record missing at " + key);
-  }
-  std::optional<ck::WorkflowRecord> r = ck::WorkflowRecord::Decode(*raw);
-  if (!r.has_value()) {
-    return Status::Internal("corrupt workflow record at " + key);
-  }
-  mutate(*r);
-  r->updated_millis = clock->NowMillis();
-  txn.Set(key, r->Encode());
-  return Status::OK();
+/// A finish transaction's hook that read-modify-writes the record of
+/// workflow `workflow_id` in the same transaction; `mutate` edits the
+/// decoded record.
+std::function<Status(fdb::Transaction&)> UpdateRecord(
+    const core::WorkContext& ctx, const std::string& workflow_id,
+    std::function<void(ck::WorkflowRecord&)> mutate) {
+  return [key = ck::WorkflowRecord::Key(ctx.db_id, workflow_id),
+          clock = ctx.clock,
+          mutate = std::move(mutate)](fdb::Transaction& txn) -> Status {
+    QUICK_ASSIGN_OR_RETURN(std::optional<std::string> raw, txn.Get(key));
+    if (!raw.has_value()) {
+      return Status::Internal("workflow record missing at " + key);
+    }
+    std::optional<ck::WorkflowRecord> r = ck::WorkflowRecord::Decode(*raw);
+    if (!r.has_value()) {
+      return Status::Internal("corrupt workflow record at " + key);
+    }
+    mutate(*r);
+    r->updated_millis = clock->NowMillis();
+    txn.Set(key, r->Encode());
+    return Status::OK();
+  };
 }
 
 }  // namespace
@@ -56,17 +61,21 @@ std::string WorkflowEngine::JobTypeFor(const std::string& saga) {
   return "_wf." + saga;
 }
 
-std::string WorkflowEngine::EncodePayload(const std::string& workflow_id,
-                                          const std::string& saga,
-                                          bool compensating, int64_t step,
-                                          const std::string& payload) {
-  return tup::Tuple()
-      .AddString(workflow_id)
-      .AddString(saga)
-      .AddInt(compensating ? 1 : 0)
-      .AddInt(step)
-      .AddString(payload)
-      .Encode();
+core::ContinuationEnqueue WorkflowEngine::StepItem(
+    const std::string& workflow_id, const std::string& saga, bool compensating,
+    int step, const std::string& payload) {
+  core::ContinuationEnqueue item;
+  item.job_type = JobTypeFor(saga);
+  item.id = compensating ? CompensateItemId(workflow_id, step)
+                         : ForwardItemId(workflow_id, step);
+  item.payload = tup::Tuple()
+                     .AddString(workflow_id)
+                     .AddString(saga)
+                     .AddInt(compensating ? 1 : 0)
+                     .AddInt(step)
+                     .AddString(payload)
+                     .Encode();
+  return item;
 }
 
 std::optional<WorkflowEngine::DecodedPayload> WorkflowEngine::DecodePayload(
@@ -168,29 +177,21 @@ core::WorkResult WorkflowEngine::RunForward(
   core::WorkResult wr{Status::OK()};
   wr.effects = std::move(sctx.effects);
   if (!last) {
-    core::ContinuationEnqueue next;
-    next.job_type = JobTypeFor(spec->name);
-    next.id = ForwardItemId(p.workflow_id, step + 1);
-    next.payload = EncodePayload(p.workflow_id, spec->name,
-                                 /*compensating=*/false, step + 1,
-                                 sctx.next_payload);
-    wr.continuations.push_back(std::move(next));
+    wr.continuations.push_back(StepItem(p.workflow_id, spec->name,
+                                        /*compensating=*/false, step + 1,
+                                        sctx.next_payload));
   } else {
     hooks_.Mark(p.workflow_id, kWorkflowDone,
                 "completed steps=" + std::to_string(total),
                 /*parent=*/ctx.item.id);
   }
-  const std::string key = ck::WorkflowRecord::Key(ctx.db_id, p.workflow_id);
-  Clock* clock = ctx.clock;
-  wr.txn_hook = [key, clock, step, last](fdb::Transaction& txn) {
-    return MutateRecord(txn, key, clock, [&](ck::WorkflowRecord& r) {
-      if (step < static_cast<int>(r.step_status.size())) {
-        r.step_status[step] = 'X';
-      }
-      r.current_step = step + 1;
-      if (last) r.state = ck::WorkflowRecord::State::kCompleted;
-    });
-  };
+  wr.txn_hook = UpdateRecord(ctx, p.workflow_id, [step, last](auto& r) {
+    if (step < static_cast<int>(r.step_status.size())) {
+      r.step_status[step] = 'X';
+    }
+    r.current_step = step + 1;
+    if (last) r.state = ck::WorkflowRecord::State::kCompleted;
+  });
   return wr;
 }
 
@@ -225,30 +226,23 @@ core::WorkResult WorkflowEngine::FinishCompensation(
   const int step = static_cast<int>(p.step);
   const int next = PreviousCompensable(*spec, step);
   if (next >= 0) {
-    core::ContinuationEnqueue c;
-    c.job_type = JobTypeFor(spec->name);
-    c.id = CompensateItemId(p.workflow_id, next);
-    c.payload = EncodePayload(p.workflow_id, spec->name,
-                              /*compensating=*/true, next, p.payload);
-    wr.continuations.push_back(std::move(c));
+    wr.continuations.push_back(StepItem(p.workflow_id, spec->name,
+                                        /*compensating=*/true, next,
+                                        p.payload));
   } else {
     hooks_.Mark(p.workflow_id, kWorkflowDone, "compensated",
                 /*parent=*/ctx.item.id);
   }
-  const std::string key = ck::WorkflowRecord::Key(ctx.db_id, p.workflow_id);
-  Clock* clock = ctx.clock;
-  wr.txn_hook = [key, clock, step, next](fdb::Transaction& txn) {
-    return MutateRecord(txn, key, clock, [&](ck::WorkflowRecord& r) {
-      if (step < static_cast<int>(r.step_status.size())) {
-        r.step_status[step] = 'C';
-      }
-      if (next >= 0) {
-        r.current_step = next;
-      } else {
-        r.state = ck::WorkflowRecord::State::kCompensated;
-      }
-    });
-  };
+  wr.txn_hook = UpdateRecord(ctx, p.workflow_id, [step, next](auto& r) {
+    if (step < static_cast<int>(r.step_status.size())) {
+      r.step_status[step] = 'C';
+    }
+    if (next >= 0) {
+      r.current_step = next;
+    } else {
+      r.state = ck::WorkflowRecord::State::kCompensated;
+    }
+  });
   return wr;
 }
 
@@ -263,33 +257,25 @@ core::WorkResult WorkflowEngine::OnForwardTerminal(
               /*parent=*/ctx.item.id);
   core::WorkResult wr{Status::OK()};
   if (j >= 0) {
-    core::ContinuationEnqueue c;
-    c.job_type = JobTypeFor(spec->name);
-    c.id = CompensateItemId(p.workflow_id, j);
-    c.payload = EncodePayload(p.workflow_id, spec->name,
-                              /*compensating=*/true, j, p.payload);
-    wr.continuations.push_back(std::move(c));
+    wr.continuations.push_back(StepItem(p.workflow_id, spec->name,
+                                        /*compensating=*/true, j, p.payload));
   } else {
     hooks_.Mark(p.workflow_id, kWorkflowDone, "compensated (empty rollback)",
                 /*parent=*/ctx.item.id);
   }
-  const std::string key = ck::WorkflowRecord::Key(ctx.db_id, p.workflow_id);
-  Clock* clock = ctx.clock;
-  const std::string msg = final_status.message();
-  wr.txn_hook = [key, clock, step, j, msg](fdb::Transaction& txn) {
-    return MutateRecord(txn, key, clock, [&](ck::WorkflowRecord& r) {
-      if (step < static_cast<int>(r.step_status.size())) {
-        r.step_status[step] = 'D';
-      }
-      r.failure = msg;
-      if (j >= 0) {
-        r.state = ck::WorkflowRecord::State::kCompensating;
-        r.current_step = j;
-      } else {
-        r.state = ck::WorkflowRecord::State::kCompensated;
-      }
-    });
-  };
+  wr.txn_hook = UpdateRecord(
+      ctx, p.workflow_id, [step, j, msg = final_status.message()](auto& r) {
+        if (step < static_cast<int>(r.step_status.size())) {
+          r.step_status[step] = 'D';
+        }
+        r.failure = msg;
+        if (j >= 0) {
+          r.state = ck::WorkflowRecord::State::kCompensating;
+          r.current_step = j;
+        } else {
+          r.state = ck::WorkflowRecord::State::kCompensated;
+        }
+      });
   return wr;
 }
 
@@ -303,22 +289,20 @@ core::WorkResult WorkflowEngine::OnCompensateTerminal(
                   " dead-lettered",
               /*parent=*/ctx.item.id);
   core::WorkResult wr{Status::OK()};
-  const std::string key = ck::WorkflowRecord::Key(ctx.db_id, p.workflow_id);
-  Clock* clock = ctx.clock;
-  const std::string msg = final_status.message();
-  wr.txn_hook = [key, clock, msg](fdb::Transaction& txn) {
-    return MutateRecord(txn, key, clock, [&](ck::WorkflowRecord& r) {
-      r.state = ck::WorkflowRecord::State::kFailed;
-      r.failure = msg;
-    });
-  };
+  wr.txn_hook = UpdateRecord(
+      ctx, p.workflow_id, [msg = final_status.message()](auto& r) {
+        r.state = ck::WorkflowRecord::State::kFailed;
+        r.failure = msg;
+      });
   return wr;
 }
 
-Result<std::string> WorkflowEngine::Start(const ck::DatabaseId& db_id,
-                                          const std::string& saga,
-                                          const std::string& payload,
-                                          std::string workflow_id) {
+fdb::Future<Status> WorkflowEngine::Launch(const ck::DatabaseId& db_id,
+                                           const std::string& saga,
+                                           const std::string& payload,
+                                           const std::string& workflow_id,
+                                           fdb::Executor* exec,
+                                           fdb::CancelToken cancel) {
   std::shared_ptr<const SagaSpec> spec;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -326,52 +310,58 @@ Result<std::string> WorkflowEngine::Start(const ck::DatabaseId& db_id,
     if (it != sagas_.end()) spec = it->second;
   }
   if (spec == nullptr) {
-    return Status::InvalidArgument("unknown saga " + saga);
+    fdb::Promise<Status> unknown;
+    unknown.Set(Status::InvalidArgument("unknown saga " + saga));
+    return unknown.GetFuture();
   }
-  if (workflow_id.empty()) {
-    workflow_id = Random::ThreadLocal().NextUuid();
-  }
-  const ck::DatabaseRef db = quick_->cloudkit()->OpenDatabase(db_id);
+  ck::WorkflowRecord r;
+  r.id = workflow_id;
+  r.saga = spec->name;
+  r.state = ck::WorkflowRecord::State::kRunning;
+  r.current_step = 0;
+  r.total_steps = static_cast<int64_t>(spec->steps.size());
+  r.step_status = std::string(spec->steps.size(), 'P');
+  r.created_millis = r.updated_millis = quick_->clock()->NowMillis();
   const std::string key = ck::WorkflowRecord::Key(db_id, workflow_id);
-  const std::string item_id = ForwardItemId(workflow_id, 0);
-  core::EnqueueFollowUp follow_up;
-  const int64_t start_micros = hooks_.NowMicros();
-  Status st = fdb::RunTransaction(db.cluster, [&](fdb::Transaction& txn) {
+  const std::string record = r.Encode();
+  const core::ContinuationEnqueue step0 =
+      StepItem(workflow_id, spec->name, /*compensating=*/false, 0, payload);
+  core::ProduceRequest request;
+  request.db_id = db_id;
+  request.items.push_back(
+      {.job_type = step0.job_type, .payload = step0.payload, .id = step0.id});
+  request.body = [key, record, workflow_id](fdb::Transaction& txn,
+                                            const ck::DatabaseRef&,
+                                            std::vector<core::WorkItem>*) {
     QUICK_ASSIGN_OR_RETURN(std::optional<std::string> existing, txn.Get(key));
     if (existing.has_value()) {
       return Status::AlreadyExists("workflow " + workflow_id + " exists");
     }
-    ck::WorkflowRecord r;
-    r.id = workflow_id;
-    r.saga = spec->name;
-    r.state = ck::WorkflowRecord::State::kRunning;
-    r.current_step = 0;
-    r.total_steps = static_cast<int64_t>(spec->steps.size());
-    r.step_status = std::string(spec->steps.size(), 'P');
-    r.created_millis = r.updated_millis = quick_->clock()->NowMillis();
-    txn.Set(key, r.Encode());
-    core::WorkItem item;
-    item.job_type = JobTypeFor(spec->name);
-    item.id = item_id;
-    item.payload = EncodePayload(workflow_id, spec->name,
-                                 /*compensating=*/false, 0, payload);
-    return quick_
-        ->EnqueueInTransaction(&txn, db, item, /*vesting_delay_millis=*/0,
-                               &follow_up)
-        .status();
-  });
-  QUICK_RETURN_IF_ERROR(st);
-  quick_->tenant_metrics()->OnEnqueued(db_id, 1);
-  if (hooks_.enabled()) {
-    hooks_.Record(item_id, core::stage::kEnqueued, start_micros,
-                  hooks_.NowMicros(), "workflow=" + workflow_id);
-    hooks_.Mark(workflow_id, kWorkflowStarted,
-                "saga=" + spec->name +
-                    " steps=" + std::to_string(spec->steps.size()) +
-                    " db=" + db_id.ToString(),
-                /*parent=*/item_id);
+    txn.Set(key, record);
+    return Status::OK();
+  };
+  return quick_->Produce(std::move(request), exec, std::move(cancel))
+      .Then([this, spec, db_id, workflow_id](const auto& ids) {
+        if (ids.ok() && hooks_.enabled()) {
+          hooks_.Mark(workflow_id, kWorkflowStarted,
+                      "saga=" + spec->name +
+                          " steps=" + std::to_string(spec->steps.size()) +
+                          " db=" + db_id.ToString(),
+                      /*parent=*/ForwardItemId(workflow_id, 0));
+        }
+        return ids.status();
+      });
+}
+
+Result<std::string> WorkflowEngine::Start(const ck::DatabaseId& db_id,
+                                          const std::string& saga,
+                                          const std::string& payload,
+                                          std::string workflow_id) {
+  if (workflow_id.empty()) {
+    workflow_id = Random::ThreadLocal().NextUuid();
   }
-  quick_->ExecuteFollowUp(db, follow_up);
+  QUICK_RETURN_IF_ERROR(
+      Launch(db_id, saga, payload, workflow_id, nullptr, {}).Get());
   return workflow_id;
 }
 
@@ -381,76 +371,9 @@ fdb::Future<Status> WorkflowEngine::StartAsync(const ck::DatabaseId& db_id,
                                                std::string* workflow_id_out,
                                                fdb::Executor* exec,
                                                fdb::CancelToken cancel) {
-  auto promise = std::make_shared<fdb::Promise<Status>>();
-  std::shared_ptr<const SagaSpec> spec;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sagas_.find(saga);
-    if (it != sagas_.end()) spec = it->second;
-  }
-  if (spec == nullptr) {
-    if (workflow_id_out != nullptr) workflow_id_out->clear();
-    promise->Set(Status::InvalidArgument("unknown saga " + saga));
-    return promise->GetFuture();
-  }
   const std::string workflow_id = Random::ThreadLocal().NextUuid();
   if (workflow_id_out != nullptr) *workflow_id_out = workflow_id;
-  auto db = std::make_shared<ck::DatabaseRef>(quick_->cloudkit()->OpenDatabase(db_id));
-  auto follow_up = std::make_shared<core::EnqueueFollowUp>();
-  const std::string key = ck::WorkflowRecord::Key(db_id, workflow_id);
-  const std::string item_id = ForwardItemId(workflow_id, 0);
-  const int64_t start_micros = hooks_.NowMicros();
-  return fdb::RunTransactionAsync(
-             db->cluster,
-             [this, spec, db, follow_up, key, item_id, workflow_id, payload,
-              db_id](fdb::Transaction& txn) {
-               QUICK_ASSIGN_OR_RETURN(std::optional<std::string> existing,
-                                      txn.Get(key));
-               if (existing.has_value()) {
-                 return Status::AlreadyExists("workflow " + workflow_id +
-                                              " exists");
-               }
-               ck::WorkflowRecord r;
-               r.id = workflow_id;
-               r.saga = spec->name;
-               r.state = ck::WorkflowRecord::State::kRunning;
-               r.current_step = 0;
-               r.total_steps = static_cast<int64_t>(spec->steps.size());
-               r.step_status = std::string(spec->steps.size(), 'P');
-               r.created_millis = r.updated_millis =
-                   quick_->clock()->NowMillis();
-               txn.Set(key, r.Encode());
-               core::WorkItem item;
-               item.job_type = JobTypeFor(spec->name);
-               item.id = item_id;
-               item.payload = EncodePayload(workflow_id, spec->name,
-                                            /*compensating=*/false, 0,
-                                            payload);
-               return quick_
-                   ->EnqueueInTransaction(&txn, *db, item,
-                                          /*vesting_delay_millis=*/0,
-                                          follow_up.get())
-                   .status();
-             },
-             exec, cancel)
-      .Then([this, spec, db, follow_up, db_id, workflow_id, item_id,
-             start_micros](Status st) -> fdb::Future<Status> {
-        auto done = std::make_shared<fdb::Promise<Status>>();
-        if (st.ok()) {
-          quick_->tenant_metrics()->OnEnqueued(db_id, 1);
-          if (hooks_.enabled()) {
-            hooks_.Record(item_id, core::stage::kEnqueued, start_micros,
-                          hooks_.NowMicros(), "workflow=" + workflow_id);
-            hooks_.Mark(workflow_id, kWorkflowStarted,
-                        "saga=" + spec->name + " steps=" +
-                            std::to_string(spec->steps.size()) + " async",
-                        /*parent=*/item_id);
-          }
-          quick_->ExecuteFollowUp(*db, *follow_up);
-        }
-        done->Set(st);
-        return done->GetFuture();
-      });
+  return Launch(db_id, saga, payload, workflow_id, exec, std::move(cancel));
 }
 
 Result<std::optional<ck::WorkflowRecord>> WorkflowEngine::Load(

@@ -77,17 +77,18 @@ class WorkflowEngine {
   Status RegisterSaga(SagaSpec saga);
 
   /// Starts one workflow instance: writes the kRunning WorkflowRecord and
-  /// enqueues step 0, in one transaction (neither exists on failure).
-  /// `workflow_id` is the idempotency handle; random when empty.
-  /// AlreadyExists when a record with that id exists.
+  /// enqueues step 0 as one Quick::Produce request (admitted, retrying a
+  /// migration fence; neither exists on failure). `workflow_id` is the
+  /// idempotency handle; random when empty. AlreadyExists when a record
+  /// with that id exists.
   Result<std::string> Start(const ck::DatabaseId& db_id,
                             const std::string& saga,
                             const std::string& payload,
                             std::string workflow_id = "");
 
-  /// Start's pipelined twin for continuation fan-out: the start transaction
-  /// rides the cluster's async commit pipeline. The workflow id is written
-  /// to *workflow_id_out up front (meaningful once the future resolves OK).
+  /// Start's pipelined twin for continuation fan-out: the same request on
+  /// `exec`'s async commit pipeline. The workflow id is written to
+  /// *workflow_id_out up front (meaningful once the future resolves OK).
   fdb::Future<Status> StartAsync(const ck::DatabaseId& db_id,
                                  const std::string& saga,
                                  const std::string& payload,
@@ -113,9 +114,12 @@ class WorkflowEngine {
     int64_t step = 0;
     std::string payload;
   };
-  static std::string EncodePayload(const std::string& workflow_id,
-                                   const std::string& saga, bool compensating,
-                                   int64_t step, const std::string& payload);
+  /// The queue item that runs `step` of a workflow (its compensation when
+  /// `compensating`), carrying `payload`.
+  static core::ContinuationEnqueue StepItem(const std::string& workflow_id,
+                                            const std::string& saga,
+                                            bool compensating, int step,
+                                            const std::string& payload);
   static std::optional<DecodedPayload> DecodePayload(std::string_view raw);
 
   core::WorkResult RunForward(const std::shared_ptr<const SagaSpec>& spec,
@@ -138,6 +142,14 @@ class WorkflowEngine {
 
   /// Highest step index < `below` with a compensate function, or -1.
   static int PreviousCompensable(const SagaSpec& spec, int below);
+
+  /// Start and StartAsync's one body (synchronous when `exec` is null):
+  /// the start request, then the kWorkflowStarted span.
+  fdb::Future<Status> Launch(const ck::DatabaseId& db_id,
+                             const std::string& saga,
+                             const std::string& payload,
+                             const std::string& workflow_id,
+                             fdb::Executor* exec, fdb::CancelToken cancel);
 
   core::Quick* quick_;
   core::JobRegistry* registry_;

@@ -1,8 +1,7 @@
 #include "workload/harness.h"
 
+#include <algorithm>
 #include <thread>
-
-#include "fdb/retry.h"
 
 namespace quick::wl {
 
@@ -159,25 +158,10 @@ void Harness::Restart() {
 
 Status Harness::EnqueueSim(int client, int items,
                            int64_t vesting_delay_millis) {
-  const ck::DatabaseId db_id = ClientDb(client);
-  const ck::DatabaseRef db = ck_->OpenDatabase(db_id);
-  core::EnqueueFollowUp follow_up;
-  Status st = fdb::RunTransaction(db.cluster, [&](fdb::Transaction& txn) {
-    for (int i = 0; i < items; ++i) {
-      core::WorkItem item;
-      item.job_type = kSimJobType;
-      QUICK_RETURN_IF_ERROR(
-          quick_
-              ->EnqueueInTransaction(&txn, db, item, vesting_delay_millis,
-                                     &follow_up)
-              .status());
-    }
-    return Status::OK();
-  });
-  QUICK_RETURN_IF_ERROR(st);
-  quick_->ExecuteFollowUp(db, follow_up);
-  quick_->tenant_metrics()->OnEnqueued(db_id, items);
-  return Status::OK();
+  std::vector<core::WorkItem> batch(std::max(items, 0));
+  for (core::WorkItem& item : batch) item.job_type = kSimJobType;
+  return quick_->EnqueueBatch(ClientDb(client), batch, vesting_delay_millis)
+      .status();
 }
 
 std::unique_ptr<core::Consumer> Harness::MakeConsumer(

@@ -87,8 +87,8 @@ class Harness {
                                    "client" + std::to_string(client));
   }
 
-  /// Enqueues `items` simulated work items for `client` in one transaction
-  /// (the paper's 1–4 tasks per enqueue).
+  /// Enqueues `items` simulated work items for `client` as one
+  /// Quick::EnqueueBatch (the paper's 1–4 tasks per enqueue).
   Status EnqueueSim(int client, int items, int64_t vesting_delay_millis = 0);
 
   /// New consumer over all clusters, wired to this harness's registry and
