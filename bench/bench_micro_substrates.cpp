@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -162,7 +163,8 @@ rl::RecordMetadata BenchMetadata() {
 }
 
 void BM_RecordSave(benchmark::State& state) {
-  static const rl::RecordMetadata* meta = new rl::RecordMetadata(BenchMetadata());
+  static const rl::RecordMetadata* meta =
+      new rl::RecordMetadata(BenchMetadata());
   fdb::Database db("bench");
   const tup::Subspace subspace(tup::Tuple().AddString("s"));
   int64_t i = 0;
@@ -246,6 +248,112 @@ BENCHMARK(BM_QueueZoneDequeueComplete)
     ->Arg(64)
     ->Arg(1024)
     ->Arg(16384);
+
+// Storage work per Dequeue(1) on a 64-item zone after `completions`
+// Dequeue(1) + Complete + replacement-Enqueue transactions, on a
+// ManualClock held still so nothing is pruned: every completed item leaves
+// its dead keys in the store. Reports the version chains the storage scans
+// of each Dequeue(1) step over (fdb storage_chains_visited): a count, so
+// bench-smoke can gate that dead keys cost a scan nothing on any host.
+void BM_QueueZoneDequeueAfterChurn(benchmark::State& state) {
+  const int64_t completions = state.range(0);
+  ManualClock clock(1000000);
+  fdb::Database::Options opts;
+  opts.clock = &clock;
+  fdb::Database db("bench", opts);
+  const tup::Subspace subspace(tup::Tuple().AddString("qz"));
+  int64_t next_id = 0;
+  auto enqueue = [&](ck::QueueZone& zone) {
+    ck::QueuedItem item;
+    item.id = "item" + std::to_string(next_id++);
+    item.job_type = "bench";
+    return zone.Enqueue(item, 0).status();
+  };
+  (void)fdb::RunTransaction(&db, [&](fdb::Transaction& txn) {
+    ck::QueueZone zone(&txn, subspace, &clock);
+    for (int i = 0; i < 64; ++i) QUICK_RETURN_IF_ERROR(enqueue(zone));
+    return Status::OK();
+  });
+  // One churn transaction; returns the chains its Dequeue(1) visited.
+  auto churn = [&] {
+    fdb::Transaction txn = db.CreateTransaction();
+    ck::QueueZone zone(&txn, subspace, &clock);
+    const int64_t before = db.GetStats().storage_chains_visited;
+    auto batch = zone.Dequeue(1, 10000);
+    const int64_t visited = db.GetStats().storage_chains_visited - before;
+    if (batch.ok() && !batch->empty()) {
+      (void)zone.Complete((*batch)[0].item.id, (*batch)[0].lease_id);
+    }
+    (void)enqueue(zone);
+    (void)txn.Commit();
+    return visited;
+  };
+  for (int64_t i = 0; i < completions; ++i) churn();
+  int64_t visited = 0;
+  for (auto _ : state) {
+    visited += churn();
+  }
+  state.counters["chains_per_dequeue"] =
+      static_cast<double>(visited) / static_cast<double>(state.iterations());
+  bench::BenchReportCollector::Global()->ReportRun(
+      "BM_QueueZoneDequeueAfterChurn/" + std::to_string(completions), state);
+}
+BENCHMARK(BM_QueueZoneDequeueAfterChurn)
+    ->ArgNames({"completions"})
+    ->Arg(1000)
+    ->Arg(8000)
+    ->Iterations(64);
+
+// Storage work of the prune that retires 1,000 churn commits (each clears
+// the previous churn key and sets the next), beside `live_keys` keys no
+// commit touches. Reports the version chains that prune steps over (fdb
+// storage_chains_visited): a count, so bench-smoke can gate that a prune
+// costs what it retires, not the store's size, on any host.
+void BM_FdbPruneAfterChurn(benchmark::State& state) {
+  const int64_t live_keys = state.range(0);
+  int64_t visited = 0;
+  for (auto _ : state) {
+    ManualClock clock(1000000);
+    fdb::Database::Options opts;
+    opts.clock = &clock;
+    fdb::Database db("bench", opts);
+    auto commit = [&db](auto&& body) {
+      fdb::Transaction txn = db.CreateTransaction();
+      body(txn);
+      benchmark::DoNotOptimize(txn.Commit());
+    };
+    for (int64_t i = 0; i < live_keys; i += 4096) {
+      commit([&](fdb::Transaction& txn) {
+        for (int64_t k = i; k < std::min(i + 4096, live_keys); ++k) {
+          txn.Set("live/" + std::to_string(k), "value");
+        }
+      });
+    }
+    // Age the fill out of the window; the next commit's prune retires it.
+    clock.AdvanceMillis(2 * opts.mvcc_window_millis);
+    commit([](fdb::Transaction& txn) { txn.Set("tick", "1"); });
+    for (int i = 0; i < 1000; ++i) {
+      commit([i](fdb::Transaction& txn) {
+        txn.Clear("churn/" + std::to_string(i - 1));
+        txn.Set("churn/" + std::to_string(i), "value");
+      });
+    }
+    clock.AdvanceMillis(2 * opts.mvcc_window_millis);
+    const int64_t before = db.GetStats().storage_chains_visited;
+    commit([](fdb::Transaction& txn) { txn.Set("tick", "2"); });
+    visited += db.GetStats().storage_chains_visited - before;
+  }
+  state.counters["chains_per_prune"] =
+      static_cast<double>(visited) / static_cast<double>(state.iterations());
+  bench::BenchReportCollector::Global()->ReportRun(
+      "BM_FdbPruneAfterChurn/" + std::to_string(live_keys), state);
+}
+BENCHMARK(BM_FdbPruneAfterChurn)
+    ->ArgNames({"live_keys"})
+    ->Arg(1000)
+    ->Arg(65536)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace quick

@@ -9,9 +9,12 @@ Two kinds of checks:
      - micro_resolver: the interval resolver beats the legacy linear scan
        by >= 5x on the stale-miss conflict check at 10k tracked commits.
      - micro_substrates: group commit beats per-commit log rounds by
-       >= 1.5x on concurrent commit throughput, and a queue-zone
-       Dequeue(1) reads no more index entries at a 16,384-item backlog
-       than at 64 (a count, so host speed cannot move it).
+       >= 1.5x on concurrent commit throughput; a queue-zone Dequeue(1)
+       reads no more index entries at a 16,384-item backlog than at 64;
+       its storage scans visit no more version chains after 8,000
+       completions than after 1,000; and the prune that retires 1,000
+       churn commits visits no more chains beside 65,536 untouched live
+       keys than beside 1,000 (counts, so host speed cannot move them).
      - fig7_contention: end-to-end throughput at the CI shape
        (selection_frac 0.05) improves with group commit on vs off.
      - admission_noisy_neighbor: admission control halves (>= 2x) the
@@ -127,6 +130,21 @@ def ratio_invariants(current):
                     "BM_QueueZoneDequeueComplete/64",
                     "BM_QueueZoneDequeueComplete/16384",
                     "index_entries_per_dequeue", 1.0)
+        # Operands swapped likewise: the version chains a Dequeue(1)'s
+        # storage scans visit after 1,000 completions, over those after
+        # 8,000, is >= 1 exactly when completed items' dead keys cost the
+        # scan nothing; and the chains the prune retiring 1,000 churn
+        # commits visits beside 1,000 live keys, over those beside 65,536,
+        # is >= 1 exactly when a prune costs what it retires, not the
+        # store's size (DESIGN.md §4c).
+        check_ratio(current["micro_substrates"], "micro_substrates",
+                    "BM_QueueZoneDequeueAfterChurn/1000",
+                    "BM_QueueZoneDequeueAfterChurn/8000",
+                    "chains_per_dequeue", 1.0)
+        check_ratio(current["micro_substrates"], "micro_substrates",
+                    "BM_FdbPruneAfterChurn/1000",
+                    "BM_FdbPruneAfterChurn/65536",
+                    "chains_per_prune", 1.0)
     if "fig7_contention" in current:
         check_ratio(current["fig7_contention"], "fig7_contention",
                     "BM_Fig7_SelectionFrac/500/group",

@@ -150,7 +150,8 @@ Status Database::ScanRangeAt(const KeyRange& range, Version version,
   }
   stats_.reads.Increment();
   std::shared_lock<std::shared_mutex> lock(mu_);
-  store_.ScanRange(range, version, options, sink);
+  stats_.storage_chains_visited.Increment(
+      static_cast<int64_t>(store_.ScanRange(range, version, options, sink)));
   return Status::OK();
 }
 
@@ -542,12 +543,18 @@ void Database::ProcessBatchLocked(const std::vector<PendingCommit*>& batch) {
       applied_version_.load(std::memory_order_relaxed) + 1;
   // Write ranges of members already accepted in this batch: a later
   // arrival whose reads overlap them must conflict (its read version
-  // necessarily predates the shared batch version).
+  // necessarily predates the shared batch version). Only members ahead of
+  // the last one with reads add theirs; a batch of one builds nothing.
+  size_t last_reader = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (!batch[i]->request.read_conflicts.empty()) last_reader = i;
+  }
   IntervalResolver batch_writes;
   std::vector<KeyRange> combined_writes;
   uint16_t order = 0;
 
-  for (PendingCommit* pc : batch) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    PendingCommit* pc = batch[i];
     CommitRequest& req = pc->request;
     if (!req.read_conflicts.empty()) {
       read_ranges_checked_counter_->Increment(
@@ -574,7 +581,7 @@ void Database::ProcessBatchLocked(const std::vector<PendingCommit*>& batch) {
 
     store_.Apply(req.mutations, version, order);
     if (!req.write_conflicts.empty()) {
-      batch_writes.AddCommit(version, req.write_conflicts);
+      if (i < last_reader) batch_writes.AddCommit(version, req.write_conflicts);
       combined_writes.insert(
           combined_writes.end(),
           std::make_move_iterator(req.write_conflicts.begin()),
@@ -608,24 +615,17 @@ void Database::ProcessBatchLocked(const std::vector<PendingCommit*>& batch) {
 
 void Database::MaybePruneLocked() {
   if (version_times_.empty()) return;
-  const int64_t now = options_.clock->NowMillis();
-  const int64_t cutoff = now - options_.mvcc_window_millis;
+  const int64_t cutoff =
+      options_.clock->NowMillis() - options_.mvcc_window_millis;
   // O(1) staleness probe: pruning is driven by the MVCC window, not by a
   // commit count — the oldest retained version going stale is what arms
-  // the sweep.
+  // the prune, and the prune costs only the entries it retires.
   if (version_times_.front().second >= cutoff) return;
-  // The store sweep walks every key; rate-limit it to once per quarter
-  // window so a high commit rate cannot turn pruning into a per-commit
-  // full scan.
-  if (now - last_prune_sweep_millis_ < options_.mvcc_window_millis / 4) {
-    return;
-  }
-  last_prune_sweep_millis_ = now;
   // With the WAL on, the floor never passes the last durable checkpoint:
   // the chunked checkpoint writer reads at a snapshot version above it
   // between shared-lock chunks, and pruning past that snapshot would
   // erase entries the snapshot still needs. Entries beyond the clamp stay
-  // queued in version_times_ for the sweep after the next checkpoint.
+  // queued in version_times_ for the prune after the next checkpoint.
   const Version prune_limit =
       wal_ == nullptr
           ? std::numeric_limits<Version>::max()
@@ -638,7 +638,8 @@ void Database::MaybePruneLocked() {
   }
   if (pruned > min_read_version_.load(std::memory_order_relaxed)) {
     resolver_->Prune(pruned);
-    store_.Prune(pruned);
+    stats_.storage_chains_visited.Increment(
+        static_cast<int64_t>(store_.Prune(pruned)));
     min_read_version_.store(pruned, std::memory_order_release);
     tracked_commits_gauge_->Set(
         static_cast<int64_t>(resolver_->TrackedCount()));

@@ -38,6 +38,10 @@
   X(too_old)                                                           \
   X(unknown_results)                                                   \
   X(reads)                                                             \
+  /* Version chains that storage scans and prunes stepped over: a work \
+     count that must track what a read returns or a prune retires, not \
+     the store's size. */                                              \
+  X(storage_chains_visited)                                            \
   /* Durability pipeline (zero while the WAL is disabled). */          \
   X(checkpoints_written)                                               \
   X(checkpoint_keys_written)
@@ -263,9 +267,9 @@ class Database {
   /// the exclusive lock.
   void ProcessBatchLocked(const std::vector<PendingCommit*>& batch);
 
-  /// Drops MVCC state older than the retention window: an O(1) staleness
-  /// probe on every batch, with the sweep itself rate-limited. Caller holds
-  /// the exclusive lock. With the WAL on, the floor is additionally
+  /// Drops MVCC state older than the retention window on every batch: an
+  /// O(1) staleness probe, then a prune that costs what it retires. Caller
+  /// holds the exclusive lock. With the WAL on, the floor is additionally
   /// clamped at the last durable checkpoint version so the chunked
   /// checkpoint writer's snapshot version stays readable between chunks.
   void MaybePruneLocked();
@@ -307,7 +311,6 @@ class Database {
   VersionedStore store_;
   std::unique_ptr<Resolver> resolver_;
   std::deque<std::pair<Version, int64_t>> version_times_;
-  int64_t last_prune_sweep_millis_ = 0;
 
   /// Group-commit queue: committers enqueue, the first becomes leader and
   /// drains the queue in max_commit_batch-sized batches; the rest wait.

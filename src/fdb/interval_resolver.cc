@@ -67,12 +67,12 @@ void IntervalResolver::Prune(Version version) {
   // version again. The heap may hold stale entries (node replaced or
   // re-keyed since the push); the version match filters them out.
   while (!prune_heap_.empty() && prune_heap_.top().first <= version) {
-    const HeapEntry top = prune_heap_.top();
-    prune_heap_.pop();
+    const HeapEntry& top = prune_heap_.top();
     auto it = nodes_.find(top.second);
     if (it != nodes_.end() && it->second.version == top.first) {
       nodes_.erase(it);
     }
+    prune_heap_.pop();
   }
 }
 

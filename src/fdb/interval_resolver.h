@@ -67,8 +67,14 @@ class IntervalResolver : public Resolver {
   /// Entries whose node was since replaced or re-keyed are skipped at pop
   /// time (the version recorded in the node disambiguates).
   using HeapEntry = std::pair<Version, std::string>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
+  /// Min-heap order on the version alone: one commit's entries share a
+  /// version, and ordering them by key would only cost string compares.
+  struct LaterVersion {
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      return a.first > b.first;
+    }
+  };
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, LaterVersion>
       prune_heap_;
 
   Version min_checkable_ = 0;

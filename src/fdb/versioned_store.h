@@ -2,6 +2,7 @@
 #define QUICK_FDB_VERSIONED_STORE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -63,6 +64,13 @@ using RangeSink =
 /// reads are served at an arbitrary retained version. NOT thread-safe; the
 /// Database serializes access (shared lock for reads, exclusive for
 /// commits).
+///
+/// Housekeeping costs what changed, not the store's size:
+/// - A chain whose newest entry is a tombstone lives in a second map, so a
+///   scan walks the live chains plus only the dead chains whose death is
+///   newer than its read version (found from the log of deaths).
+/// - Every appended entry is logged in commit order, so Prune visits only
+///   the chains written at or below its floor.
 class VersionedStore {
  public:
   /// Applies a committed transaction's mutations at `version` (must be >=
@@ -81,20 +89,26 @@ class VersionedStore {
   /// options.limit. This is the copy-light hot path: values are handed out
   /// as views into the version chains, with no intermediate
   /// materialization, and limit/reverse are honored during iteration.
-  void ScanRange(const KeyRange& range, Version version,
-                 const RangeOptions& options, const RangeSink& sink) const;
+  /// Returns the version chains stepped over, emitted or not, plus the
+  /// newer deaths examined to find the chains dead now but live at
+  /// `version`.
+  size_t ScanRange(const KeyRange& range, Version version,
+                   const RangeOptions& options, const RangeSink& sink) const;
 
   /// Key-value pairs in [range.begin, range.end) as of `version`
   /// (materializing convenience wrapper over ScanRange).
   std::vector<KeyValue> GetRange(const KeyRange& range, Version version,
                                  const RangeOptions& options = {}) const;
 
-  /// Drops version-chain entries no longer visible to any read version
-  /// >= `min_version`, and erases keys whose chain is dead (a lone
-  /// tombstone — invisible at every version) so sustained write-then-clear
-  /// churn cannot grow the key map without bound. Reads at older versions
-  /// become incorrect; the Database enforces the floor before reading.
-  void Prune(Version min_version);
+  /// Retires what no read version >= `min_version` can see: a chain drops
+  /// its hidden entries once they are half of it (all of them once its
+  /// newest entry is at or below the floor), and a chain dead at the floor
+  /// is erased, so sustained write-then-clear churn cannot grow the key
+  /// map without bound. Reads at older versions become incorrect; the
+  /// Database enforces the floor before reading. Floors must not decrease.
+  /// Costs O(entries and deaths retired), amortized, and returns that
+  /// count: the chains it stepped over.
+  size_t Prune(Version min_version);
 
   /// Bulk-loads one checkpointed key-value pair as a single-entry chain at
   /// `version`. Recovery only: the store must not contain `key` yet, and
@@ -113,7 +127,8 @@ class VersionedStore {
   /// Number of live keys at the latest version (for tests/stats).
   size_t LiveKeyCount() const;
 
-  /// Total version-chain entries (for prune tests).
+  /// Total version-chain entries, hidden ones a chain has not dropped yet
+  /// included (for prune tests).
   size_t TotalEntryCount() const;
 
  private:
@@ -122,11 +137,44 @@ class VersionedStore {
     std::optional<std::string> value;  // nullopt == tombstone
   };
   using Chain = std::vector<Entry>;
+  using ChainMap = std::map<std::string, Chain, std::less<>>;
+  /// A chain's map node. Node pointers survive moves between live_ and
+  /// dead_ (node handles), so the logs below hold them as handles.
+  using Node = ChainMap::value_type;
+
+  /// An entry appended at `version` to `node`'s chain.
+  struct Appended {
+    Version version;
+    Node* node;
+  };
+  /// A live chain that took a tombstone at `version` and moved into dead_
+  /// at `in_dead`. `node` is null once the chain is revived: only the
+  /// chain's latest death, while it is still dead, keeps its handles.
+  struct Death {
+    Version version;
+    Node* node;
+    ChainMap::iterator in_dead;
+  };
 
   const std::optional<std::string>* GetInChain(const Chain& chain,
                                                Version version) const;
+  /// The chain of `key` in either map; null when the key has none.
+  const Node* Find(std::string_view key) const;
+  /// Appends a value to `key`'s chain, creating or reviving it.
+  void Put(const std::string& key, Version version, std::string value);
+  /// Appends a tombstone to the live chain at `it` and moves the chain into
+  /// dead_; returns the live chain after it.
+  ChainMap::iterator Kill(ChainMap::iterator it, Version version);
+  /// Chains dead now that may hold a value at `version` (their death is
+  /// newer) and whose key `keep` accepts, in key order.
+  template <typename Keep>
+  std::vector<const Node*> DiedAfter(Version version, const Keep& keep,
+                                     size_t* examined) const;
 
-  std::map<std::string, Chain> data_;
+  ChainMap live_;  // chains whose newest entry is a value
+  ChainMap dead_;  // chains whose newest entry is a tombstone
+  std::deque<Appended> appended_;  // every retained entry, in commit order
+  std::deque<Death> deaths_;       // in commit order
 };
 
 }  // namespace quick::fdb

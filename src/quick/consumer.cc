@@ -440,7 +440,8 @@ std::vector<std::string> Consumer::PeekAndSelect(
     } else {
       const size_t frac_count = static_cast<size_t>(std::ceil(
           static_cast<double>(ids.size()) * config_.selection_frac));
-      n_select = std::min({ids.size(), budget, std::max<size_t>(frac_count, 1)});
+      n_select =
+          std::min({ids.size(), budget, std::max<size_t>(frac_count, 1)});
       // Partial Fisher–Yates: move a random sample to the front.
       for (size_t k = 0; k < n_select; ++k) {
         const size_t j = k + scanner_rng_.Uniform(ids.size() - k);
@@ -1124,10 +1125,23 @@ void Consumer::AfterResultExtras(
         static_cast<int64_t>(result.effects.size()));
   }
   if (!follow_ups.empty()) {
+    // Every continuation landed in this tenant's zone under one pointer,
+    // so one part two at the earliest vesting time covers them all; only
+    // the front-of-queue notifications stay per item.
     const ck::DatabaseRef db = quick_->cloudkit()->OpenDatabase(job.db_id);
-    for (const EnqueueFollowUp& follow_up : follow_ups) {
-      quick_->ExecuteFollowUp(db, follow_up);
+    EnqueueFollowUp fix_up;
+    fix_up.pointer = follow_ups.front().pointer;
+    fix_up.item_vesting_millis = follow_ups.front().item_vesting_millis;
+    for (EnqueueFollowUp follow_up : follow_ups) {
+      fix_up.pointer_existed |= follow_up.pointer_existed;
+      fix_up.item_vesting_millis =
+          std::min(fix_up.item_vesting_millis, follow_up.item_vesting_millis);
+      if (follow_up.notify_front) {
+        follow_up.pointer_existed = false;  // the notification alone
+        quick_->ExecuteFollowUp(db, follow_up);
+      }
     }
+    quick_->ExecuteFollowUp(db, fix_up);
   }
 }
 

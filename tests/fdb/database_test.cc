@@ -157,7 +157,7 @@ TEST(DatabaseTest, PruningIsWindowDrivenNotCommitCountDriven) {
     ASSERT_TRUE(t.Commit().ok());
   }
   clock.AdvanceMillis(3000);
-  // Far fewer than 256 commits — the stale window alone must arm the sweep.
+  // Far fewer than 256 commits — the stale window alone must arm the prune.
   for (int i = 0; i < 3; ++i) {
     Transaction t = db.CreateTransaction();
     t.Set("k", "v" + std::to_string(i + 2));
@@ -192,8 +192,8 @@ TEST(DatabaseTest, ChurnConvergesUnderWindowDrivenPruning) {
     clock.AdvanceMillis(300);
   }
 
-  // Let every churn version fall out of the window; the next commits carry
-  // the sweep (pruning piggybacks on the commit path).
+  // Let every churn version fall out of the window; the next commit's
+  // batch prunes them (pruning piggybacks on the commit path).
   for (int i = 0; i < 3; ++i) {
     clock.AdvanceMillis(2000);
     Transaction t = db.CreateTransaction();

@@ -296,7 +296,7 @@ TEST(RecoveryTest, PruneFloorNeverPassesDurableCheckpoint) {
   ASSERT_TRUE(old_reader.GetReadVersion().ok());  // version 10
 
   // Age everything far past the MVCC window. Without the checkpoint
-  // clamp the sweep would advance the floor past the old reader; with no
+  // clamp the prune would advance the floor past the old reader; with no
   // checkpoint yet the floor must stay pinned at 0.
   for (int round = 0; round < 6; ++round) {
     clock.AdvanceMillis(400);

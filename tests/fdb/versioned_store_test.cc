@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/bytes.h"
+#include "common/random.h"
 
 namespace quick::fdb {
 namespace {
@@ -323,6 +330,184 @@ TEST(VersionedStoreTest, ChurnConvergesAfterPrune) {
   store.Prune(v);
   EXPECT_EQ(store.LiveKeyCount(), 1u);
   EXPECT_EQ(store.TotalEntryCount(), 1u);
+}
+
+
+// Model-based check: a seeded random history of Set/Clear/ClearRange/Atomic
+// batches (several members sharing a version), interleaved with monotone
+// Prune floors, must read exactly like a never-pruned model at every
+// version at or above the floor. The model keeps each key's whole history
+// in one map and shares no code with the store, so it covers the dead-chain
+// merge, the history-driven prune and the chunked snapshot alike.
+class StoreModel {
+ public:
+  void Apply(const std::vector<Mutation>& mutations, Version version) {
+    for (const Mutation& m : mutations) {
+      switch (m.type) {
+        case Mutation::Type::kSet:
+          history_[m.key].push_back({version, m.value});
+          break;
+        case Mutation::Type::kClear:
+          history_[m.key].push_back({version, std::nullopt});
+          break;
+        case Mutation::Type::kClearRange:
+          for (auto it = history_.lower_bound(m.key);
+               it != history_.end() && it->first < m.end_key; ++it) {
+            it->second.push_back({version, std::nullopt});
+          }
+          break;
+        case Mutation::Type::kAtomic: {
+          std::optional<std::string> base;
+          auto it = history_.find(m.key);
+          if (!m.base_cleared && it != history_.end()) {
+            base = it->second.back().second;
+          }
+          history_[m.key].push_back(
+              {version, ApplyAtomicOp(m.op, base, m.value)});
+          break;
+        }
+        default:
+          FAIL() << "unmodelled mutation";
+      }
+    }
+  }
+
+  std::optional<std::string> Get(const std::string& key,
+                                 Version version) const {
+    auto it = history_.find(key);
+    if (it == history_.end()) return std::nullopt;
+    // Entries are in version order: the last one at or below `version`.
+    auto next = std::upper_bound(
+        it->second.begin(), it->second.end(), version,
+        [](Version v, const auto& entry) { return v < entry.first; });
+    if (next == it->second.begin()) return std::nullopt;
+    return std::prev(next)->second;
+  }
+
+  std::vector<KeyValue> Range(const KeyRange& range, Version version,
+                              const RangeOptions& options) const {
+    std::vector<KeyValue> out;
+    for (auto it = history_.lower_bound(range.begin);
+         it != history_.end() && it->first < range.end; ++it) {
+      if (std::optional<std::string> v = Get(it->first, version)) {
+        out.push_back({it->first, *v});
+      }
+    }
+    if (options.reverse) std::reverse(out.begin(), out.end());
+    if (options.limit > 0 && out.size() > static_cast<size_t>(options.limit)) {
+      out.resize(static_cast<size_t>(options.limit));
+    }
+    return out;
+  }
+
+  size_t LiveCount(Version version) const {
+    return Range(KeyRange{"", "\xFF"}, version, RangeOptions{}).size();
+  }
+
+ private:
+  std::map<std::string,
+           std::vector<std::pair<Version, std::optional<std::string>>>>
+      history_;
+};
+
+std::string ModelKey(Random& rng) {
+  return "k" + std::to_string(10 + rng.Uniform(30));
+}
+
+Mutation RandomMutation(Random& rng) {
+  const uint64_t roll = rng.Uniform(100);
+  if (roll < 40) {
+    return SetMut(ModelKey(rng), "v" + std::to_string(rng.Uniform(1000)));
+  }
+  if (roll < 70) return ClearMut(ModelKey(rng));
+  if (roll < 80) {
+    std::string a = ModelKey(rng);
+    std::string b = ModelKey(rng);
+    if (b < a) std::swap(a, b);
+    return ClearRangeMut(a, b + "\x01");
+  }
+  return AtomicMut(AtomicOp::kAdd, ModelKey(rng),
+                   EncodeLittleEndian64(1 + rng.Uniform(9)),
+                   /*base_cleared=*/rng.Uniform(8) == 0);
+}
+
+std::vector<KeyValue> Scan(const VersionedStore& store, const KeyRange& range,
+                           Version version, const RangeOptions& options) {
+  std::vector<KeyValue> out;
+  store.ScanRange(range, version, options,
+                  [&out](std::string_view key, std::string_view value) {
+                    out.push_back({std::string(key), std::string(value)});
+                    return true;
+                  });
+  return out;
+}
+
+std::vector<KeyValue> Snapshot(const VersionedStore& store, Version version,
+                               size_t chunk_keys) {
+  std::vector<KeyValue> out;
+  std::string resume;
+  while (!store.CollectSnapshotChunk(version, &resume, chunk_keys, &out)) {
+  }
+  return out;
+}
+
+// Number of read checks (Get, ScanRange, snapshot) that disagreed with the
+// model over one seeded history.
+int ModelMismatches(uint64_t seed) {
+  Random rng(seed);
+  VersionedStore store;
+  StoreModel model;
+  Version version = 0;
+  Version floor = 0;
+  int mismatches = 0;
+  for (int batch = 0; batch < 400; ++batch) {
+    ++version;
+    const int members = 1 + static_cast<int>(rng.Uniform(3));
+    for (int member = 0; member < members; ++member) {
+      std::vector<Mutation> mutations;
+      const int n = 1 + static_cast<int>(rng.Uniform(4));
+      for (int i = 0; i < n; ++i) mutations.push_back(RandomMutation(rng));
+      store.Apply(mutations, version, static_cast<uint16_t>(member));
+      model.Apply(mutations, version);
+    }
+    if (rng.Uniform(10) == 0) {
+      floor += static_cast<Version>(
+          rng.Uniform(static_cast<uint64_t>(version - floor) + 1));
+      store.Prune(floor);
+    }
+    for (int check = 0; check < 4; ++check) {
+      const Version at = floor + static_cast<Version>(rng.Uniform(
+                                     static_cast<uint64_t>(version - floor) +
+                                     1));
+      const std::string key = ModelKey(rng);
+      if (store.Get(key, at) != model.Get(key, at)) ++mismatches;
+      std::string a = ModelKey(rng);
+      std::string b = ModelKey(rng);
+      if (b < a) std::swap(a, b);
+      const KeyRange range{a, b + "\x01"};
+      RangeOptions options;
+      options.limit = static_cast<int>(rng.Uniform(6));
+      options.reverse = rng.Uniform(2) == 0;
+      if (Scan(store, range, at, options) != model.Range(range, at, options)) {
+        ++mismatches;
+      }
+      if (Snapshot(store, at, 1 + rng.Uniform(7)) !=
+          model.Range(KeyRange{"", "\xFF"}, at, RangeOptions{})) {
+        ++mismatches;
+      }
+    }
+  }
+  store.Prune(version);
+  const size_t live = model.LiveCount(version);
+  if (store.LiveKeyCount() != live) ++mismatches;
+  if (store.TotalEntryCount() != live) ++mismatches;
+  return mismatches;
+}
+
+TEST(VersionedStoreModelTest, RandomHistoriesReadLikeTheModel) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    EXPECT_EQ(ModelMismatches(seed), 0) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -476,6 +476,137 @@ TEST_F(ConsumerTest, ProcessTopItemOnMissingIdIsOk) {
 // Stop() wakes the lease extender instead of waiting out its interval: on
 // the system clock, a started consumer with a 10 s extension interval
 // stops in well under a second, in both threaded and pipelined mode.
+// The fdb work of one call, from the cluster's counters.
+struct FdbCost {
+  int64_t grvs = 0;
+  int64_t reads = 0;
+  int64_t commits = 0;
+};
+
+template <typename Fn>
+FdbCost CostOf(fdb::Database* db, Fn fn) {
+  const fdb::Database::Stats before = db->GetStats();
+  fn();
+  const fdb::Database::Stats after = db->GetStats();
+  FdbCost cost;
+  cost.grvs = after.grv_calls - before.grv_calls;
+  cost.reads = after.reads - before.reads;
+  cost.commits = after.commits_attempted - before.commits_attempted;
+  return cost;
+}
+
+// Each measurement gets a fresh cluster, so all of them start from the
+// same state; everything they enqueue vests a minute out.
+class ContinuationFanOutTest : public ConsumerTest {
+ protected:
+  void FreshCluster() {
+    quick_.reset();
+    ck_.reset();
+    fdb::Database::Options opts;
+    opts.clock = &clock_;
+    clusters_ = std::make_unique<fdb::ClusterSet>(opts);
+    clusters_->AddCluster("c1");
+    ck_ = std::make_unique<ck::CloudKitService>(clusters_.get(), &clock_);
+    quick_ = std::make_unique<Quick>(ck_.get());
+  }
+
+  // One RunOnePass in which the tenant's only item finishes with
+  // `fan_out` continuations.
+  FdbCost FinishWithContinuations(int fan_out) {
+    FreshCluster();
+    registry_.RegisterWork("fan", [fan_out](WorkContext&) {
+      WorkResult r;
+      for (int i = 0; i < fan_out; ++i) {
+        ContinuationEnqueue c;
+        c.job_type = "ok_job";
+        c.vesting_delay_millis = 60000;
+        r.continuations.push_back(c);
+      }
+      return r;
+    });
+    MustEnqueue(kTenant, "fan", "");
+    Consumer consumer = MakeConsumer();
+    const FdbCost cost = CostOf(clusters_->Get("c1"), [&] {
+      EXPECT_EQ(consumer.RunOnePass("c1").value_or(-1), 1);
+    });
+    EXPECT_EQ(consumer.stats().continuations_enqueued.Value(), fan_out);
+    return cost;
+  }
+
+  // An EnqueueBatch of `n` items into a zone whose pointer exists.
+  FdbCost BatchIntoLiveZone(int n) {
+    FreshCluster();
+    MustEnqueue(kTenant, "ok_job", "", 60000);
+    std::vector<WorkItem> items(static_cast<size_t>(n));
+    for (WorkItem& item : items) item.job_type = "ok_job";
+    return CostOf(clusters_->Get("c1"), [&] {
+      EXPECT_TRUE(quick_->EnqueueBatch(kTenant, items, 60000).ok());
+    });
+  }
+
+  ck::QueuedItem LoadPointer() {
+    const Pointer pointer{kTenant, quick_->config().queue_zone_name};
+    const ck::DatabaseRef cluster_db = ck_->OpenClusterDb("c1");
+    fdb::Transaction txn = cluster_db.cluster->CreateTransaction();
+    ck::QueueZone top = quick_->OpenTopZoneFor(cluster_db, pointer.Key(), &txn);
+    return top.Load(pointer.Key()).value().value();
+  }
+
+  const ck::DatabaseId kTenant = ck::DatabaseId::Private("app", "u1");
+};
+
+// Every continuation of one finish lands in the finishing tenant's zone
+// under its one pointer, so they share one part-two transaction. A finish
+// with 3 or 8 continuations takes the GRVs and commits of a finish with
+// one; its extra reads are the extra items' part one, which an EnqueueBatch
+// of the same items pays too.
+TEST_F(ContinuationFanOutTest, OnePartTwoPerFinish) {
+  const FdbCost one = FinishWithContinuations(1);
+  const FdbCost batch_one = BatchIntoLiveZone(1);
+  for (int k : {3, 8}) {
+    SCOPED_TRACE("continuations=" + std::to_string(k));
+    const FdbCost many = FinishWithContinuations(k);
+    const FdbCost batch = BatchIntoLiveZone(k);
+    EXPECT_EQ(many.grvs, one.grvs);
+    EXPECT_EQ(many.commits, one.commits);
+    EXPECT_EQ(many.reads - one.reads, batch.reads - batch_one.reads);
+  }
+}
+
+// The shared part two lowers the pointer to the earliest continuation's
+// vesting time, not the first continuation's. The handler releases the
+// pointer and parks it ten minutes out, as a pipelined chain's pointer
+// requeue can before the finish commits; the second continuation vests
+// first.
+TEST_F(ContinuationFanOutTest, LaterContinuationThatVestsFirstLowersPointer) {
+  const Pointer pointer{kTenant, quick_->config().queue_zone_name};
+  const ck::DatabaseRef cluster_db = ck_->OpenClusterDb("c1");
+  auto park_pointer = [&](fdb::Transaction& txn) -> Status {
+    ck::QueueZone top = quick_->OpenTopZoneFor(cluster_db, pointer.Key(), &txn);
+    QUICK_ASSIGN_OR_RETURN(std::optional<ck::QueuedItem> p,
+                           top.Load(pointer.Key()));
+    if (!p.has_value()) return Status::NotFound("pointer");
+    p->lease_id.clear();
+    p->vesting_time = clock_.NowMillis() + 600000;
+    return top.SaveItem(*p);
+  };
+  registry_.RegisterWork("fan", [&](WorkContext&) {
+    EXPECT_TRUE(fdb::RunTransaction(cluster_db.cluster, park_pointer).ok());
+    WorkResult r;
+    for (int64_t delay : {30000, 0}) {
+      ContinuationEnqueue c;
+      c.job_type = "ok_job";
+      c.vesting_delay_millis = delay;
+      r.continuations.push_back(c);
+    }
+    return r;
+  });
+  MustEnqueue(kTenant, "fan", "");
+  Consumer consumer = MakeConsumer();
+  ASSERT_EQ(consumer.RunOnePass("c1").value_or(-1), 1);
+  EXPECT_EQ(LoadPointer().vesting_time, clock_.NowMillis());
+}
+
 TEST(ConsumerStopTest, StopDoesNotWaitOutTheLeaseExtensionInterval) {
   fdb::ClusterSet clusters;
   clusters.AddCluster("c1");
