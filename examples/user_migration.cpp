@@ -10,7 +10,6 @@
 
 #include "control/balancer.h"
 #include "fdb/retry.h"
-#include "quick/admin.h"
 #include "quick/consumer.h"
 #include "quick/quick.h"
 
@@ -54,9 +53,7 @@ int main() {
   // through the orchestrated state machine (copy -> catch-up -> fenced
   // flip). Raw CommitMove would refuse the flip with work still queued.
   control::TenantBalancer balancer(&quick);
-  core::QuickAdmin admin(&quick);
-  admin.SetMoveOrchestrator(&balancer);
-  Status st = admin.MoveTenant(user, destination);
+  Status st = balancer.MoveTenant(user, destination);
   std::printf("[move] %s -> %s : %s\n", source.c_str(), destination.c_str(),
               st.ToString().c_str());
   if (!st.ok()) return 1;

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "cloudkit/database_id.h"
+#include "fdb/transaction.h"
 #include "tuple/subspace.h"
 
 namespace quick::ck {
@@ -15,9 +16,9 @@ namespace quick::ck {
 /// subspace (so bulk copy/delete of the tenant never touches it).
 ///
 /// The record doubles as the migration fence: once the move is sealed
-/// (phase >= kSealed), every enqueue and every consumer dequeue for the
-/// tenant performs a NON-snapshot read of this key inside its transaction
-/// and backs off when the fence is up. Serializability then guarantees the
+/// (phase >= kSealed), every enqueue, every consumer dequeue and the
+/// placement flip read it through ReadFence inside their transactions and
+/// back off when the fence is up. Serializability then guarantees the
 /// source zone is quiescent — any writer that raced the seal either saw
 /// the fence or conflicted with the seal transaction's write and retried
 /// into seeing it.
@@ -38,6 +39,19 @@ struct MoveState {
   /// ever exists on the move's source cluster.
   static std::string Key(const DatabaseId& id) {
     return tup::Subspace(tup::Tuple().AddString("ckmv")).Pack(id.ToTuple());
+  }
+
+  /// The migration fence: one strong (conflict-registering) read of
+  /// Key(id) in `txn`. Returns the move's state when it has sealed the
+  /// tenant, nothing otherwise. The read is what makes a transaction that
+  /// races the seal conflict with it, so it must never be a snapshot read.
+  static Result<std::optional<MoveState>> ReadFence(fdb::Transaction& txn,
+                                                    const DatabaseId& id) {
+    QUICK_ASSIGN_OR_RETURN(std::optional<std::string> raw, txn.Get(Key(id)));
+    std::optional<MoveState> state;
+    if (raw.has_value()) state = Decode(*raw);
+    if (state.has_value() && !state->FencesEnqueues()) state.reset();
+    return state;
   }
 
   std::string Encode() const {

@@ -77,24 +77,20 @@ Status CloudKitService::CommitMove(const DatabaseId& id,
     return Status::InvalidArgument("unknown cluster");
   }
   Status st = fdb::RunTransaction(src, [&](fdb::Transaction& txn) {
-    // A sealed migration fence on the source means an orchestrator has
+    // A sealed migration fence on the source means the balancer has
     // frozen the tenant and owns carrying the queue contents across.
-    auto fence = txn.Get(MoveState::Key(id));
-    QUICK_RETURN_IF_ERROR(fence.status());
-    if (fence->has_value()) {
-      std::optional<MoveState> state = MoveState::Decode(**fence);
-      if (state.has_value() && state->FencesEnqueues()) return Status::OK();
-    }
-    QueueZone zone(&txn, DatabaseSubspace(id).Sub("z").Sub(queue_zone_name),
-                   clock_);
+    QUICK_ASSIGN_OR_RETURN(std::optional<MoveState> fence,
+                           MoveState::ReadFence(txn, id));
+    if (fence.has_value()) return Status::OK();
+    QueueZone zone(&txn, ZoneSubspace(id, queue_zone_name), clock_);
     QUICK_ASSIGN_OR_RETURN(int64_t count, zone.Count());
     QUICK_ASSIGN_OR_RETURN(int64_t dl_count, zone.DeadLetterCount());
     if (count > 0 || dl_count > 0) {
       return Status::FailedPrecondition(
           "refusing placement flip for " + id.ToString() + ": source has " +
           std::to_string(count) + " queued and " + std::to_string(dl_count) +
-          " dead-lettered item(s); move them through the orchestrator "
-          "(QuickAdmin::MoveTenant) instead");
+          " dead-lettered item(s); move them with "
+          "control::TenantBalancer::MoveTenant instead");
     }
     return Status::OK();
   });

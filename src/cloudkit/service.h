@@ -20,9 +20,7 @@ struct DatabaseRef {
   tup::Subspace subspace;
 
   /// Subspace of a zone within this database.
-  tup::Subspace ZoneSubspace(const std::string& zone_name) const {
-    return subspace.Sub("z").Sub(zone_name);
-  }
+  tup::Subspace ZoneSubspace(const std::string& zone_name) const;
 };
 
 /// The CloudKit storage service over a fleet of FoundationDB clusters:
@@ -71,8 +69,8 @@ class CloudKitService {
   /// Re-points the placement directory at `dest_cluster` (metadata flip of
   /// a tenant move). Guarded: when the source still has queue items (live
   /// or dead-lettered) in `queue_zone_name`, the flip is refused unless a
-  /// sealed MoveState fence is up on the source — i.e. the caller is the
-  /// migration orchestrator, which has frozen the source and will carry
+  /// sealed MoveState fence is up on the source — i.e. the caller is
+  /// control::TenantBalancer, which has frozen the source and will carry
   /// the items over. A bare flip with queued work would strand (and later
   /// delete) that work on the source.
   Status CommitMove(const DatabaseId& id, const std::string& dest_cluster,
@@ -88,11 +86,31 @@ class CloudKitService {
     return tup::Subspace(tup::Tuple().AddString("ck")).Sub(id.ToTuple());
   }
 
+  /// Keyspace of zone `zone_name` within `id`'s database. It depends on
+  /// the database alone, never on placement, so a stale pointer at a
+  /// migration source resolves to the same (by then empty) keys.
+  static tup::Subspace ZoneSubspace(const DatabaseId& id,
+                                    const std::string& zone_name) {
+    return ZoneSubspace(DatabaseSubspace(id), zone_name);
+  }
+
+  /// The same below an already derived DatabaseSubspace(id): the one
+  /// place the zone layout is written down.
+  static tup::Subspace ZoneSubspace(const tup::Subspace& database,
+                                    const std::string& zone_name) {
+    return database.Sub("z").Sub(zone_name);
+  }
+
  private:
   fdb::ClusterSet* clusters_;
   Clock* clock_;
   PlacementDirectory placement_;
 };
+
+inline tup::Subspace DatabaseRef::ZoneSubspace(
+    const std::string& zone_name) const {
+  return CloudKitService::ZoneSubspace(subspace, zone_name);
+}
 
 }  // namespace quick::ck
 

@@ -73,6 +73,23 @@ Status TenantBalancer::ClearDestData(const ck::DatabaseId& db_id,
   });
 }
 
+Status TenantBalancer::PointToQueuedWork(fdb::Transaction& txn,
+                                         const std::string& cluster,
+                                         const ck::DatabaseId& db_id) {
+  const std::string& zone_name = quick_->config().queue_zone_name;
+  ck::QueueZone zone(&txn, ck::CloudKitService::ZoneSubspace(db_id, zone_name),
+                     quick_->clock(), quick_->config().fifo_tenant_zones);
+  QUICK_ASSIGN_OR_RETURN(int64_t count, zone.Count());
+  if (count <= 0) return Status::OK();
+  const core::Pointer pointer{db_id, zone_name};
+  const ck::DatabaseRef cluster_db = ck_->OpenClusterDb(cluster);
+  ck::QueueZone top_zone =
+      quick_->OpenTopZoneFor(cluster_db, pointer.Key(), &txn);
+  ck::QueuedItem pointer_item = pointer.ToItem();
+  pointer_item.last_active_time = quick_->clock()->NowMillis();
+  return top_zone.Enqueue(std::move(pointer_item), /*delay=*/0).status();
+}
+
 Result<MovePhase> TenantBalancer::Phase(const ck::DatabaseId& db_id) {
   QUICK_ASSIGN_OR_RETURN(std::optional<FoundState> found, FindState(db_id));
   if (!found.has_value()) return MovePhase::kIdle;
@@ -118,6 +135,12 @@ Result<MovePhase> TenantBalancer::Step(const ck::DatabaseId& db_id,
   const std::string src = found->cluster;
   ck::MoveState state = found->state;
   const std::string dest = state.dest_cluster;
+  if (dest_cluster != dest) {
+    return Status::FailedPrecondition(
+        "a move of " + db_id.ToString() + " to " + dest +
+        " is in flight; Resume() or Abort() it before moving to " +
+        dest_cluster);
+  }
   fdb::Database* src_db = ck_->clusters()->Get(src);
 
   // --- kCopying: catch-up rounds, then seal. ---
@@ -162,7 +185,7 @@ Result<MovePhase> TenantBalancer::Step(const ck::DatabaseId& db_id,
     }
 
     const tup::Subspace zone_subspace =
-        ck::CloudKitService::DatabaseSubspace(db_id).Sub("z").Sub(zone_name);
+        ck::CloudKitService::ZoneSubspace(db_id, zone_name);
     const int64_t now = quick_->clock()->NowMillis();
     std::vector<std::string> zombies;
     bool live_leases = false;
@@ -214,22 +237,11 @@ Result<MovePhase> TenantBalancer::Step(const ck::DatabaseId& db_id,
     QUICK_RETURN_IF_ERROR(ClearDestData(db_id, dest));
     QUICK_RETURN_IF_ERROR(ck_->CopyDatabaseData(db_id, dest));
 
-    // Destination pointer iff the queue carries work (idempotent: a crash
-    // retry overwrites the same pointer record by id).
-    const core::Pointer pointer{db_id, zone_name};
+    // Destination pointer iff the queue carries work.
     fdb::Database* dst_db = ck_->clusters()->Get(dest);
     QUICK_RETURN_IF_ERROR(
         fdb::RunTransaction(dst_db, [&](fdb::Transaction& txn) {
-          ck::QueueZone zone(&txn, zone_subspace, quick_->clock(), fifo);
-          QUICK_ASSIGN_OR_RETURN(int64_t count, zone.Count());
-          if (count <= 0) return Status::OK();
-          const ck::DatabaseRef dst_cluster_db = ck_->OpenClusterDb(dest);
-          ck::QueueZone top_zone =
-              quick_->OpenTopZoneFor(dst_cluster_db, pointer.Key(), &txn);
-          ck::QueuedItem pointer_item = pointer.ToItem();
-          pointer_item.last_active_time = quick_->clock()->NowMillis();
-          return top_zone.Enqueue(std::move(pointer_item), /*delay=*/0)
-              .status();
+          return PointToQueuedWork(txn, dest, db_id);
         }));
 
     // The flip. The sealed fence satisfies CommitMove's queued-work guard.
@@ -289,33 +301,19 @@ Status TenantBalancer::Abort(const ck::DatabaseId& db_id) {
     return Status::FailedPrecondition(
         "move already flipped; run Resume() forward instead");
   }
-  const std::string& zone_name = quick_->config().queue_zone_name;
-  const bool fifo = quick_->config().fifo_tenant_zones;
   const std::string src = found->cluster;
   fdb::Database* src_db = ck_->clusters()->Get(src);
 
   // Restore the source: lower the fence and re-create the Q_C pointer
   // when the zone still carries work (it was removed at the seal), in one
   // transaction so traffic resumes atomically.
-  const core::Pointer pointer{db_id, zone_name};
-  const tup::Subspace zone_subspace =
-      ck::CloudKitService::DatabaseSubspace(db_id).Sub("z").Sub(zone_name);
   QUICK_RETURN_IF_ERROR(
       fdb::RunTransaction(src_db, [&](fdb::Transaction& txn) {
         txn.Clear(ck::MoveState::Key(db_id));
         if (found->state.phase < ck::MoveState::kSealed) {
           return Status::OK();  // pointer was never removed
         }
-        ck::QueueZone zone(&txn, zone_subspace, quick_->clock(), fifo);
-        QUICK_ASSIGN_OR_RETURN(int64_t count, zone.Count());
-        if (count <= 0) return Status::OK();
-        const ck::DatabaseRef src_cluster_db = ck_->OpenClusterDb(src);
-        ck::QueueZone top_zone =
-            quick_->OpenTopZoneFor(src_cluster_db, pointer.Key(), &txn);
-        ck::QueuedItem pointer_item = pointer.ToItem();
-        pointer_item.last_active_time = quick_->clock()->NowMillis();
-        return top_zone.Enqueue(std::move(pointer_item), /*delay=*/0)
-            .status();
+        return PointToQueuedWork(txn, src, db_id);
       }));
   // Discard the partial destination copy.
   QUICK_RETURN_IF_ERROR(ClearDestData(db_id, found->state.dest_cluster));

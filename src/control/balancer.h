@@ -8,7 +8,6 @@
 #include "cloudkit/migration_state.h"
 #include "common/metrics.h"
 #include "control/load_monitor.h"
-#include "quick/admin.h"
 #include "quick/quick.h"
 
 namespace quick::control {
@@ -35,7 +34,8 @@ enum class MovePhase {
   kDone,     // move complete
 };
 
-/// Orchestrated, resumable live tenant migration:
+/// Orchestrated, resumable live tenant migration (§6 "User-move and local
+/// work items"), the only code that moves a tenant between clusters:
 ///
 ///   kIdle -> kCopying:  persist MoveState on the source, bulk copy.
 ///   kCopying (xN):      catch-up rounds — re-copy while traffic flows.
@@ -60,7 +60,7 @@ enum class MovePhase {
 /// Lossless by construction: an item is deleted at the source only after
 /// the flip (single delete site), and the final copy runs on a provably
 /// quiescent zone — no item can be lost or executed from both clusters.
-class TenantBalancer : public core::MoveOrchestrator {
+class TenantBalancer {
  public:
   explicit TenantBalancer(core::Quick* quick, BalancerConfig config = {},
                           MetricsRegistry* registry =
@@ -68,8 +68,10 @@ class TenantBalancer : public core::MoveOrchestrator {
 
   /// Drives a move end-to-end: steps the state machine, polling through
   /// the drain window; aborts (and restores the source) on drain timeout.
+  /// A move already in flight runs forward only to its own destination;
+  /// asking for another one fails kFailedPrecondition (see Step).
   Status MoveTenant(const ck::DatabaseId& db_id,
-                    const std::string& dest_cluster) override;
+                    const std::string& dest_cluster);
 
   /// Resumes a crashed move found in any cluster's MoveState records;
   /// kNotFound when no move is in flight for the tenant.
@@ -77,7 +79,10 @@ class TenantBalancer : public core::MoveOrchestrator {
 
   /// Executes one transition of the state machine and returns the phase
   /// now reached. Returns kSealed repeatedly while leases drain. Exposed
-  /// for tests (and crash-injection) to stop a move at any boundary.
+  /// for tests (and crash-injection) to stop a move at any boundary. When
+  /// a move is in flight, `dest_cluster` must name its persisted
+  /// destination: anything else is refused with kFailedPrecondition
+  /// (Resume() or Abort() it first).
   Result<MovePhase> Step(const ck::DatabaseId& db_id,
                          const std::string& dest_cluster);
 
@@ -109,6 +114,11 @@ class TenantBalancer : public core::MoveOrchestrator {
                     const ck::MoveState& state);
   Status ClearState(const std::string& cluster, const ck::DatabaseId& db_id);
   Status ClearDestData(const ck::DatabaseId& db_id, const std::string& dest);
+  /// In `txn` on `cluster`: creates the tenant's Q_C pointer there iff its
+  /// queue zone carries work. Idempotent: a retry overwrites the same
+  /// pointer record by id.
+  Status PointToQueuedWork(fdb::Transaction& txn, const std::string& cluster,
+                           const ck::DatabaseId& db_id);
 
   core::Quick* quick_;
   ck::CloudKitService* ck_;

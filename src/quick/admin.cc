@@ -154,9 +154,7 @@ QuickAdmin::ListOutstandingQueues(const std::string& cluster_name, int limit) {
             item.leased() && item.vesting_time > quick_->clock()->NowMillis();
         // Depth from the referenced zone's count index (same cluster).
         const tup::Subspace zone_subspace =
-            ck::CloudKitService::DatabaseSubspace(pointer->db_id)
-                .Sub("z")
-                .Sub(pointer->zone);
+            ck::CloudKitService::ZoneSubspace(pointer->db_id, pointer->zone);
         ck::QueueZone zone(&txn, zone_subspace, quick_->clock());
         QUICK_ASSIGN_OR_RETURN(row.depth, zone.Count());
         out.push_back(std::move(row));

@@ -9,17 +9,6 @@
 
 namespace quick::core {
 
-/// Pluggable tenant-move driver. QuickAdmin::MoveTenant delegates here
-/// when set, so operators get the orchestrated, resumable live migration
-/// (control::TenantBalancer) through the same admin entry point; without
-/// one it falls back to Quick::MoveTenant's stop-the-world move.
-class MoveOrchestrator {
- public:
-  virtual ~MoveOrchestrator() = default;
-  virtual Status MoveTenant(const ck::DatabaseId& db_id,
-                            const std::string& dest_cluster) = 0;
-};
-
 /// Operational introspection over QuiCK's state (§2 "Operations and
 /// monitoring", §3 "Querying outstanding work by user is inexpressible"
 /// in external queuing systems — here it is a first-class query). All
@@ -161,27 +150,8 @@ class QuickAdmin {
   std::string RenderWorkflowTrace(const ck::DatabaseId& db_id,
                                   const std::string& workflow_id) const;
 
-  // --- Tenant placement. ---
-
-  /// Registers the orchestrated move driver. Not thread-safe; call during
-  /// setup.
-  void SetMoveOrchestrator(MoveOrchestrator* orchestrator) {
-    orchestrator_ = orchestrator;
-  }
-
-  /// Moves a tenant to `dest_cluster`: through the registered
-  /// orchestrator when one is set, otherwise via Quick::MoveTenant.
-  Status MoveTenant(const ck::DatabaseId& db_id,
-                    const std::string& dest_cluster) {
-    if (orchestrator_ != nullptr) {
-      return orchestrator_->MoveTenant(db_id, dest_cluster);
-    }
-    return quick_->MoveTenant(db_id, dest_cluster);
-  }
-
  private:
   Quick* quick_;
-  MoveOrchestrator* orchestrator_ = nullptr;
 };
 
 }  // namespace quick::core

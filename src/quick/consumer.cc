@@ -20,14 +20,9 @@ Status Fenced(const Status& transition, bool* fenced) {
   return *fenced ? Status::OK() : transition;
 }
 
-/// A pointer's tenant zone. The zone lives on this cluster under the
-/// database's (cluster-independent) prefix; placement is irrelevant here,
-/// which is what lets stale pointers at a migration source resolve
-/// harmlessly.
+/// A pointer's tenant zone, on the cluster the pointer was found on.
 tup::Subspace ZoneSubspaceOf(const Pointer& pointer) {
-  return ck::CloudKitService::DatabaseSubspace(pointer.db_id)
-      .Sub("z")
-      .Sub(pointer.zone);
+  return ck::CloudKitService::ZoneSubspace(pointer.db_id, pointer.zone);
 }
 
 /// quick.deadletter.* registry counters, resolved on first use.
@@ -739,12 +734,9 @@ Status Consumer::DequeueBody(fdb::Transaction& txn, const ck::DatabaseId& db_id,
   // seeing the fence — so after the seal commits, no dequeue can take
   // items out of the source zone (the balancer's final copy relies on this
   // quiescence).
-  QUICK_ASSIGN_OR_RETURN(std::optional<std::string> fence,
-                         txn.Get(ck::MoveState::Key(db_id)));
-  if (fence.has_value()) {
-    std::optional<ck::MoveState> state = ck::MoveState::Decode(*fence);
-    if (state.has_value() && state->FencesEnqueues()) return Status::OK();
-  }
+  QUICK_ASSIGN_OR_RETURN(std::optional<ck::MoveState> fence,
+                         ck::MoveState::ReadFence(txn, db_id));
+  if (fence.has_value()) return Status::OK();
   const bool fifo = quick_->config().fifo_tenant_zones;
   ck::QueueZone zone(&txn, zone_subspace, quick_->clock(), fifo);
   QUICK_ASSIGN_OR_RETURN(

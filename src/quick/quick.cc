@@ -20,14 +20,11 @@ Result<std::string> Quick::EnqueueInTransaction(fdb::Transaction* txn,
   // the seal is guaranteed to have seen it, which is what makes the
   // balancer's post-seal final copy exact.
   if (db.id.kind != ck::DatabaseKind::kCluster) {
-    QUICK_ASSIGN_OR_RETURN(std::optional<std::string> fence,
-                           txn->Get(ck::MoveState::Key(db.id)));
+    QUICK_ASSIGN_OR_RETURN(std::optional<ck::MoveState> fence,
+                           ck::MoveState::ReadFence(*txn, db.id));
     if (fence.has_value()) {
-      std::optional<ck::MoveState> state = ck::MoveState::Decode(*fence);
-      if (state.has_value() && state->FencesEnqueues()) {
-        return Status::TenantMoving("tenant " + db.id.ToString() +
-                                    " is moving to " + state->dest_cluster);
-      }
+      return Status::TenantMoving("tenant " + db.id.ToString() +
+                                  " is moving to " + fence->dest_cluster);
     }
   }
 
@@ -351,88 +348,6 @@ Result<int64_t> Quick::TopLevelCount(const std::string& cluster_name) {
         }
         return Status::OK();
       });
-}
-
-Status Quick::MoveTenant(const ck::DatabaseId& db_id,
-                         const std::string& dest_cluster) {
-  if (db_id.kind == ck::DatabaseKind::kCluster) {
-    return Status::InvalidArgument("ClusterDBs are pinned and cannot move");
-  }
-  const std::optional<std::string> src_cluster =
-      ck_->placement()->Get(db_id);
-  if (!src_cluster.has_value()) {
-    return Status::NotFound("database " + db_id.ToString() + " not placed");
-  }
-  if (*src_cluster == dest_cluster) return Status::OK();
-  fdb::Database* dst = ck_->clusters()->Get(dest_cluster);
-  if (dst == nullptr) {
-    return Status::InvalidArgument("unknown cluster " + dest_cluster);
-  }
-  fdb::Database* src = ck_->clusters()->Get(*src_cluster);
-  const std::string state_key = ck::MoveState::Key(db_id);
-  const Pointer pointer{db_id, config_.queue_zone_name};
-
-  // 1. Seal the tenant and take its pointer off the source's top-level
-  //    queue, in ONE transaction. From this commit on, every enqueue and
-  //    every consumer dequeue for the tenant reads the fence and backs
-  //    off — and with the pointer gone, source consumers stop finding the
-  //    queue at all. Racing writers that miss the fence conflict with this
-  //    write and retry into seeing it.
-  ck::MoveState seal;
-  seal.phase = ck::MoveState::kSealed;
-  seal.dest_cluster = dest_cluster;
-  std::optional<ck::QueuedItem> src_pointer;
-  QUICK_RETURN_IF_ERROR(fdb::RunTransaction(src, [&](fdb::Transaction& txn) {
-    txn.Set(state_key, seal.Encode());
-    const ck::DatabaseRef src_cluster_db = ck_->OpenClusterDb(*src_cluster);
-    ck::QueueZone top_zone =
-        OpenTopZoneFor(src_cluster_db, pointer.Key(), &txn);
-    QUICK_ASSIGN_OR_RETURN(src_pointer, top_zone.Load(pointer.Key()));
-    if (src_pointer.has_value()) {
-      Status st = top_zone.Complete(pointer.Key());
-      if (!st.ok() && !st.IsNotFound()) return st;
-    }
-    return Status::OK();
-  }));
-
-  // 2. Copy the database — including its queue zone and queued items —
-  //    with the source frozen. (This simple path does not drain live item
-  //    leases first; moves under active consumers go through
-  //    control::TenantBalancer, which adds catch-up rounds and lease
-  //    draining around the same fence.)
-  QUICK_RETURN_IF_ERROR(ck_->CopyDatabaseData(db_id, dest_cluster));
-
-  // 3. Re-create the pointer on the destination's top-level queue, after
-  //    the data so a destination consumer finding it early sees a
-  //    non-empty queue rather than GC'ing it (§6).
-  if (src_pointer.has_value()) {
-    QUICK_RETURN_IF_ERROR(
-        fdb::RunTransaction(dst, [&](fdb::Transaction& txn) {
-          const ck::DatabaseRef dst_cluster_db =
-              ck_->OpenClusterDb(dest_cluster);
-          ck::QueueZone top_zone =
-              OpenTopZoneFor(dst_cluster_db, pointer.Key(), &txn);
-          ck::QueuedItem copy = *src_pointer;
-          copy.lease_id.clear();
-          return top_zone.Enqueue(std::move(copy), /*vesting_delay=*/0)
-              .status();
-        }));
-  }
-
-  // 4. Flip placement so new enqueues land at the destination. The sealed
-  //    fence satisfies CommitMove's queued-work guard.
-  QUICK_RETURN_IF_ERROR(
-      ck_->CommitMove(db_id, dest_cluster, config_.queue_zone_name));
-
-  // 5. Delete the source data (the pointer went with the seal), then
-  //    lower the fence. A crash in between leaves the fence up on the
-  //    source — harmless, since placement already points elsewhere and
-  //    the fence key lives outside the database subspace.
-  QUICK_RETURN_IF_ERROR(ck_->DeleteDatabaseData(db_id, *src_cluster));
-  return fdb::RunTransaction(src, [&](fdb::Transaction& txn) {
-    txn.Clear(state_key);
-    return Status::OK();
-  });
 }
 
 }  // namespace quick::core

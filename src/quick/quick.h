@@ -154,16 +154,6 @@ class Quick {
   /// queue.
   Result<int64_t> TopLevelCount(const std::string& cluster_name);
 
-  /// Moves a tenant database to another cluster with its queued work
-  /// (§6 "User-move and local work items"): seal the tenant behind the
-  /// migration fence (all enqueues and dequeues back off), copy data with
-  /// the queue frozen, carry the Q_C pointer over, flip placement, then
-  /// delete the source data and clear the fence. Stop-the-world for the
-  /// one tenant being moved; control::TenantBalancer layers catch-up
-  /// rounds and lease draining on top for moves under live consumers.
-  Status MoveTenant(const ck::DatabaseId& db_id,
-                    const std::string& dest_cluster);
-
   /// Number of top-level shards for `cluster_name`: the per-cluster
   /// override when present, else the global `top_zone_shards`.
   int TopZoneShards(const std::string& cluster_name) const {

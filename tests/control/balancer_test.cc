@@ -388,17 +388,65 @@ TEST_F(BalancerTest, RejectsClusterDbUnknownDestAndUnplaced) {
       balancer.MoveTenant(db, ck_->placement()->Get(db).value()).ok());
 }
 
-TEST_F(BalancerTest, AdminRoutesMovesThroughTheOrchestrator) {
-  const ck::DatabaseId db = ck::DatabaseId::Private("app", "routed");
-  ASSERT_TRUE(Enqueue(db, "x").ok());
-  const std::string dst =
-      OtherCluster(ck_->placement()->Get(db).value());
+TEST_F(BalancerTest, MoveToSameClusterIsNoOp) {
+  const ck::DatabaseId db = ck::DatabaseId::Private("app", "stay");
+  ASSERT_TRUE(Enqueue(db, "stays").ok());
+  const std::string cluster = ck_->placement()->Get(db).value();
   TenantBalancer balancer = Make();
-  core::QuickAdmin admin(quick_.get());
-  admin.SetMoveOrchestrator(&balancer);
-  ASSERT_TRUE(admin.MoveTenant(db, dst).ok());
-  EXPECT_EQ(ck_->placement()->Get(db).value(), dst);
-  EXPECT_EQ(Count("quick.balancer.moves_completed"), 1);
+  ASSERT_TRUE(balancer.MoveTenant(db, cluster).ok());
+  EXPECT_EQ(ck_->placement()->Get(db).value(), cluster);
+  EXPECT_EQ(quick_->PendingCount(db).value(), 1);
+  EXPECT_EQ(quick_->TopLevelCount(cluster).value(), 1);
+  EXPECT_EQ(balancer.Phase(db).value(), MovePhase::kIdle);
+  EXPECT_EQ(Count("quick.balancer.moves_started"), 0);
+}
+
+TEST_F(BalancerTest, EnqueueAfterMoveLandsAtDestination) {
+  const ck::DatabaseId db = ck::DatabaseId::Private("app", "mover");
+  ASSERT_TRUE(Enqueue(db, "before").ok());
+  const std::string src = ck_->placement()->Get(db).value();
+  const std::string dst = OtherCluster(src);
+  ASSERT_TRUE(Make().MoveTenant(db, dst).ok());
+
+  ASSERT_TRUE(Enqueue(db, "after").ok());
+  EXPECT_EQ(quick_->PendingCount(db).value(), 2);
+  EXPECT_EQ(quick_->TopLevelCount(dst).value(), 1);  // pointer reused
+  EXPECT_EQ(quick_->TopLevelCount(src).value(), 0);
+}
+
+TEST_F(BalancerTest, InFlightMoveRefusesAnotherDestination) {
+  // A third cluster; the tenant is pinned so the test does not depend on
+  // the placement hash.
+  clusters_->AddCluster("north");
+  const ck::DatabaseId db = ck::DatabaseId::Private("app", "redirected");
+  ck_->placement()->Set(db, "east");
+  ASSERT_TRUE(Enqueue(db, "item").ok());
+
+  TenantBalancer balancer = Make();
+  ASSERT_EQ(balancer.Step(db, "west").value(), MovePhase::kCopying);
+
+  // Another destination is refused, naming the one in flight, and the
+  // move's persisted state is untouched.
+  const Status moved = balancer.MoveTenant(db, "north");
+  EXPECT_EQ(moved.code(), StatusCode::kFailedPrecondition) << moved;
+  EXPECT_NE(moved.message().find("west"), std::string::npos) << moved;
+  EXPECT_EQ(balancer.Step(db, "north").status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ck_->placement()->Get(db).value(), "east");
+  EXPECT_EQ(balancer.Phase(db).value(), MovePhase::kCopying);
+
+  // Resume runs forward to the persisted destination ...
+  ASSERT_TRUE(balancer.Resume(db).ok());
+  EXPECT_EQ(ck_->placement()->Get(db).value(), "west");
+  EXPECT_EQ(quick_->PendingCount(db).value(), 1);
+  EXPECT_EQ(quick_->TopLevelCount("north").value(), 0);
+
+  // ... after which a move to the third cluster is a new move.
+  ASSERT_TRUE(balancer.MoveTenant(db, "north").ok());
+  EXPECT_EQ(ck_->placement()->Get(db).value(), "north");
+  EXPECT_EQ(quick_->PendingCount(db).value(), 1);
+  EXPECT_EQ(quick_->TopLevelCount("north").value(), 1);
+  EXPECT_TRUE(SourceKeyspaceEmpty(db, "west"));
 }
 
 TEST_F(BalancerTest, RunPolicyOnceExecutesTheMonitorsPlan) {

@@ -9,6 +9,7 @@
 
 #include "cloudkit/queue_zone.h"
 #include "common/metrics.h"
+#include "control/balancer.h"
 #include "fdb/retry.h"
 #include "quick/admin.h"
 #include "quick/consumer.h"
@@ -160,7 +161,8 @@ TEST_F(ShardedTopQueueTest, MigrationPreservesShardAssignment) {
   const std::string id = MustEnqueue(db);
   const std::string src = ck_->placement()->Get(db).value();
   const std::string dst = src == "c1" ? "c2" : "c1";
-  ASSERT_TRUE(quick_->MoveTenant(db, dst).ok());
+  control::TenantBalancer balancer(quick_.get());
+  ASSERT_TRUE(balancer.MoveTenant(db, dst).ok());
   EXPECT_EQ(quick_->TopLevelCount(dst).value_or(-1), 1);
   EXPECT_EQ(quick_->TopLevelCount(src).value_or(-1), 0);
 
@@ -296,13 +298,14 @@ TEST_F(ShardedTopQueueTest, MigrationAcrossDifferentShardCounts) {
   };
   EXPECT_EQ(pointer_shard(src), q.TopZoneNameFor(src, p.Key()));
 
-  ASSERT_TRUE(q.MoveTenant(db, dst).ok());
+  control::TenantBalancer balancer(&q);
+  ASSERT_TRUE(balancer.MoveTenant(db, dst).ok());
   EXPECT_EQ(q.TopLevelCount(src).value_or(-1), 0);
   EXPECT_EQ(q.TopLevelCount(dst).value_or(-1), 1);
   EXPECT_EQ(pointer_shard(dst), q.TopZoneNameFor(dst, p.Key()));
 
   // And back: the 8-shard -> 4-shard direction re-derives again.
-  ASSERT_TRUE(q.MoveTenant(db, src).ok());
+  ASSERT_TRUE(balancer.MoveTenant(db, src).ok());
   EXPECT_EQ(q.TopLevelCount(dst).value_or(-1), 0);
   EXPECT_EQ(pointer_shard(src), q.TopZoneNameFor(src, p.Key()));
 
