@@ -81,13 +81,9 @@ Status TenantBalancer::PointToQueuedWork(fdb::Transaction& txn,
                      quick_->clock(), quick_->config().fifo_tenant_zones);
   QUICK_ASSIGN_OR_RETURN(int64_t count, zone.Count());
   if (count <= 0) return Status::OK();
-  const core::Pointer pointer{db_id, zone_name};
-  const ck::DatabaseRef cluster_db = ck_->OpenClusterDb(cluster);
-  ck::QueueZone top_zone =
-      quick_->OpenTopZoneFor(cluster_db, pointer.Key(), &txn);
-  ck::QueuedItem pointer_item = pointer.ToItem();
-  pointer_item.last_active_time = quick_->clock()->NowMillis();
-  return top_zone.Enqueue(std::move(pointer_item), /*delay=*/0).status();
+  return quick_->CreatePointer(&txn, ck_->OpenClusterDb(cluster),
+                               core::Pointer{db_id, zone_name},
+                               /*vesting_delay_millis=*/0);
 }
 
 Result<MovePhase> TenantBalancer::Phase(const ck::DatabaseId& db_id) {

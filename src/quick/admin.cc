@@ -6,7 +6,6 @@
 #include "cloudkit/workflow_record.h"
 #include "common/metrics.h"
 #include "fdb/retry.h"
-#include "quick/trace_hooks.h"
 
 namespace quick::core {
 
@@ -23,6 +22,29 @@ Counter* PurgedMetric() {
   static Counter* const counter =
       MetricsRegistry::Default()->GetCounter("quick.deadletter.purged");
   return counter;
+}
+
+/// One operator requeue: an uncharged Quick::Produce request whose body
+/// takes `item_id` out of the quarantine of the zone `open` returns, so
+/// removal and re-enqueue commit in one transaction.
+template <typename OpenZone>
+Status Requeue(Quick* quick, const ck::DatabaseId& db_id,
+               const std::string& item_id, OpenZone open) {
+  auto take = [open, item_id](fdb::Transaction& txn, const ck::DatabaseRef& db,
+                              std::vector<WorkItem>* items) -> Status {
+    QUICK_ASSIGN_OR_RETURN(ck::DeadLetterItem dl,
+                           open(txn, db).TakeDeadLetter(item_id));
+    items->push_back({.job_type = dl.job_type,
+                      .payload = dl.payload,
+                      .priority = dl.priority,
+                      .id = dl.id});
+    return Status::OK();
+  };
+  const ProduceRequest request{
+      .db_id = db_id, .body = take, .dead_letter_requeue = true};
+  QUICK_RETURN_IF_ERROR(quick->Produce(request).Get().status());
+  RequeuedMetric()->Increment();
+  return Status::OK();
 }
 
 }  // namespace
@@ -244,22 +266,10 @@ Result<int64_t> QuickAdmin::DeadLetterCount(const ck::DatabaseId& db_id) {
 
 Status QuickAdmin::RequeueDeadLetter(const ck::DatabaseId& db_id,
                                      const std::string& item_id) {
-  auto take = [this, item_id](fdb::Transaction& txn, const ck::DatabaseRef& db,
-                              std::vector<WorkItem>* items) -> Status {
-    ck::QueueZone zone = quick_->OpenTenantZone(db, &txn);
-    QUICK_ASSIGN_OR_RETURN(ck::DeadLetterItem dl,
-                           zone.TakeDeadLetter(item_id));
-    items->push_back({.job_type = dl.job_type,
-                      .payload = dl.payload,
-                      .priority = dl.priority,
-                      .id = dl.id});
-    return Status::OK();
-  };
-  const ProduceRequest request{
-      .db_id = db_id, .body = take, .dead_letter_requeue = true};
-  QUICK_RETURN_IF_ERROR(quick_->Produce(request).Get().status());
-  RequeuedMetric()->Increment();
-  return Status::OK();
+  return Requeue(quick_, db_id, item_id,
+                 [this](fdb::Transaction& txn, const ck::DatabaseRef& db) {
+                   return quick_->OpenTenantZone(db, &txn);
+                 });
 }
 
 Result<int> QuickAdmin::RequeueAllDeadLetters(const ck::DatabaseId& db_id) {
@@ -320,30 +330,13 @@ Result<std::vector<ck::DeadLetterItem>> QuickAdmin::ListClusterDeadLetters(
 
 Status QuickAdmin::RequeueClusterDeadLetter(const std::string& cluster_name,
                                             const std::string& item_id) {
-  ck::CloudKitService* ck = quick_->cloudkit();
-  fdb::Database* cluster = ck->clusters()->Get(cluster_name);
-  if (cluster == nullptr) {
-    return Status::InvalidArgument("unknown cluster " + cluster_name);
-  }
-  const ck::DatabaseRef cluster_db = ck->OpenClusterDb(cluster_name);
-  Status st = fdb::RunTransaction(cluster, [&](fdb::Transaction& txn) {
-    // Quarantine keeps a local item in its own shard, so the shard of the
-    // dead letter is re-derivable from the id, like any top-level entry.
-    ck::QueueZone top = quick_->OpenTopZoneFor(cluster_db, item_id, &txn);
-    QUICK_ASSIGN_OR_RETURN(ck::DeadLetterItem dl, top.TakeDeadLetter(item_id));
-    ck::QueuedItem item;
-    item.id = dl.id;
-    item.job_type = dl.job_type;
-    item.payload = dl.payload;
-    item.priority = dl.priority;
-    item.db_key = dl.db_key;
-    return top.Enqueue(std::move(item), /*vesting_delay_millis=*/0).status();
-  });
-  QUICK_RETURN_IF_ERROR(st);
-  const TraceHooks hooks(quick_->tracer(), quick_->clock(), "admin");
-  hooks.Mark(item_id, stage::kDeadLetterRequeued, "cluster=" + cluster_name);
-  RequeuedMetric()->Increment();
-  return Status::OK();
+  // Quarantine keeps a local item in its own top-level shard, so the shard
+  // of the dead letter is re-derivable from the id.
+  return Requeue(
+      quick_, ck::DatabaseId::Cluster(cluster_name), item_id,
+      [this, item_id](fdb::Transaction& txn, const ck::DatabaseRef& db) {
+        return quick_->OpenTopZoneFor(db, item_id, &txn);
+      });
 }
 
 Status QuickAdmin::PurgeClusterDeadLetter(const std::string& cluster_name,

@@ -117,7 +117,8 @@ class QuickAdmin {
   Result<std::vector<ck::DeadLetterItem>> ListClusterDeadLetters(
       const std::string& cluster_name, int limit = 0);
 
-  /// Requeues a dead-lettered local item into its top-level queue shard.
+  /// Requeues a dead-lettered local item into its top-level queue shard,
+  /// as one uncharged Quick::Produce request into the cluster's ClusterDB.
   Status RequeueClusterDeadLetter(const std::string& cluster_name,
                                   const std::string& item_id);
 

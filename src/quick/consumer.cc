@@ -1036,54 +1036,21 @@ void Consumer::RaiseAlert(Alert::Kind kind, const WorkerJob& job,
 
 Status Consumer::ApplyResultExtras(fdb::Transaction& txn, const WorkerJob& job,
                                    const WorkResult& result,
-                                   std::vector<EnqueueFollowUp>* follow_ups,
-                                   std::vector<std::string>* continuation_ids) {
-  // Transaction bodies re-run on conflict; start every attempt clean.
-  follow_ups->clear();
-  continuation_ids->clear();
+                                   FinishState* state) {
   if (result.txn_hook != nullptr) {
     QUICK_RETURN_IF_ERROR(result.txn_hook(txn));
   }
-  if (!result.continuations.empty()) {
-    if (job.db_id.kind == ck::DatabaseKind::kCluster) {
-      // Local items continue as local items: straight into the cluster's
-      // top-level queue (no tenant zone, no pointer, no migration fence).
-      const ck::DatabaseRef cluster_db =
-          quick_->cloudkit()->OpenClusterDb(job.cluster);
-      for (const ContinuationEnqueue& c : result.continuations) {
-        ck::QueuedItem queued;
-        queued.id = c.id.empty() ? Random::ThreadLocal().NextUuid() : c.id;
-        queued.job_type = c.job_type;
-        queued.priority = c.priority;
-        queued.payload = c.payload;
-        ck::QueueZone top_zone =
-            quick_->OpenTopZoneFor(cluster_db, queued.id, &txn);
-        QUICK_ASSIGN_OR_RETURN(
-            std::string id,
-            top_zone.Enqueue(std::move(queued), c.vesting_delay_millis));
-        continuation_ids->push_back(std::move(id));
-      }
-    } else {
-      // Tenant items go through the full two-part enqueue protocol inside
-      // this very transaction. A migration fence (kTenantMoving) fails the
-      // whole finish: the item's lease then expires and a consumer at the
-      // tenant's new home re-executes it — atomicity over latency.
-      const ck::DatabaseRef db = quick_->cloudkit()->OpenDatabase(job.db_id);
-      for (const ContinuationEnqueue& c : result.continuations) {
-        WorkItem item;
-        item.job_type = c.job_type;
-        item.payload = c.payload;
-        item.priority = c.priority;
-        item.id = c.id;
-        EnqueueFollowUp follow_up;
-        QUICK_ASSIGN_OR_RETURN(
-            std::string id,
-            quick_->EnqueueInTransaction(&txn, db, item,
-                                         c.vesting_delay_millis, &follow_up));
-        continuation_ids->push_back(std::move(id));
-        follow_ups->push_back(follow_up);
-      }
-    }
+  // Continuations enter the finishing item's database through the
+  // producer's part one, inside this very transaction: local items stay
+  // local items, tenant items pass the migration fence. A fence
+  // (kTenantMoving) fails the whole finish: the item's lease then expires
+  // and a consumer at the tenant's new home re-executes it — atomicity
+  // over latency.
+  state->continuations = result.continuations;
+  if (!state->continuations.empty()) {
+    QUICK_RETURN_IF_ERROR(quick_->EnqueuePartOne(
+        &txn, quick_->cloudkit()->OpenDatabase(job.db_id),
+        state->continuations, &state->follow_up));
   }
   for (const OutboxEffect& e : result.effects) {
     ck::OutboxEntry row;
@@ -1097,43 +1064,19 @@ Status Consumer::ApplyResultExtras(fdb::Transaction& txn, const WorkerJob& job,
   return Status::OK();
 }
 
-void Consumer::AfterResultExtras(
-    const WorkerJob& job, const WorkResult& result,
-    const std::vector<EnqueueFollowUp>& follow_ups,
-    const std::vector<std::string>& continuation_ids) {
-  if (!continuation_ids.empty()) {
+void Consumer::AfterResultExtras(const WorkerJob& job, const WorkResult& result,
+                                 const FinishState& state) {
+  if (!state.continuations.empty()) {
     stats_.continuations_enqueued.Increment(
-        static_cast<int64_t>(continuation_ids.size()));
-    quick_->tenant_metrics()->OnEnqueued(
-        job.db_id, static_cast<int64_t>(continuation_ids.size()));
-    for (const std::string& id : continuation_ids) {
-      hooks_.Mark(id, stage::kEnqueued,
-                  "continuation of=" + job.leased.item.id,
-                  /*parent=*/job.leased.item.id);
-    }
+        static_cast<int64_t>(state.continuations.size()));
+    quick_->EnqueueEpilogue(quick_->cloudkit()->OpenDatabase(job.db_id),
+                            state.continuations, state.follow_up, hooks_,
+                            {.start_micros = state.start_micros,
+                             .parent = job.leased.item.id});
   }
   if (!result.effects.empty()) {
     stats_.outbox_effects_recorded.Increment(
         static_cast<int64_t>(result.effects.size()));
-  }
-  if (!follow_ups.empty()) {
-    // Every continuation landed in this tenant's zone under one pointer,
-    // so one part two at the earliest vesting time covers them all; only
-    // the front-of-queue notifications stay per item.
-    const ck::DatabaseRef db = quick_->cloudkit()->OpenDatabase(job.db_id);
-    EnqueueFollowUp fix_up;
-    fix_up.pointer = follow_ups.front().pointer;
-    fix_up.item_vesting_millis = follow_ups.front().item_vesting_millis;
-    for (EnqueueFollowUp follow_up : follow_ups) {
-      fix_up.pointer_existed |= follow_up.pointer_existed;
-      fix_up.item_vesting_millis =
-          std::min(fix_up.item_vesting_millis, follow_up.item_vesting_millis);
-      if (follow_up.notify_front) {
-        follow_up.pointer_existed = false;  // the notification alone
-        quick_->ExecuteFollowUp(db, follow_up);
-      }
-    }
-    quick_->ExecuteFollowUp(db, fix_up);
   }
 }
 
@@ -1159,8 +1102,7 @@ void Consumer::FinishItem(WorkerJob job, const Status& final_status) {
           if (is_local) stats_.local_items_processed.Increment();
           hooks_.Record(jp->leased.item.id, stage::kCompleted, s.start_micros,
                         s.end_micros, is_local ? "local" : "");
-          AfterResultExtras(*jp, jp->result, s.follow_ups,
-                            s.continuation_ids);
+          AfterResultExtras(*jp, jp->result, s);
         });
     return;
   }
@@ -1234,8 +1176,7 @@ void Consumer::FinishTerminalFailure(std::shared_ptr<const WorkerJob> job,
       },
       [this, job, quarantine, reason, legacy_kind, final_attempts,
        why](const FinishState& s) {
-        AfterResultExtras(*job, job->terminal_result, s.follow_ups,
-                          s.continuation_ids);
+        AfterResultExtras(*job, job->terminal_result, s);
         if (quarantine) {
           stats_.items_quarantined.Increment();
           QuarantinedMetric()->Increment();
@@ -1276,8 +1217,7 @@ void Consumer::FinishStep(std::shared_ptr<const WorkerJob> job,
         if (state->fenced || extras == nullptr || !HasExtras(*extras)) {
           return Status::OK();
         }
-        return ApplyResultExtras(txn, *job, *extras, &state->follow_ups,
-                                 &state->continuation_ids);
+        return ApplyResultExtras(txn, *job, *extras, state.get());
       },
       [this, job, what, observe_health, state,
        done = std::move(done)](const Status& st) {

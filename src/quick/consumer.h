@@ -171,8 +171,9 @@ class Consumer {
   /// Outcome of a finish transaction's committed attempt, and its span.
   struct FinishState {
     bool fenced = false;
-    std::vector<EnqueueFollowUp> follow_ups;
-    std::vector<std::string> continuation_ids;
+    /// The continuations part one staged, ids filled in.
+    std::vector<DelayedItem> continuations;
+    EnqueueFollowUp follow_up;
     int64_t start_micros = 0;
     int64_t end_micros = 0;
   };
@@ -287,20 +288,17 @@ class Consumer {
            !result.effects.empty();
   }
   /// Applies a WorkResult's extras inside the finish transaction `txn`,
-  /// after the (non-fenced) queue transition: runs the txn_hook, enqueues
-  /// every continuation — through the full two-part enqueue protocol for
-  /// tenant items, directly into the top-level queue for local items — and
-  /// appends the outbox rows. Out-params are reset on entry (transaction
+  /// after the (non-fenced) queue transition: runs the txn_hook, stages
+  /// the continuations through Quick::EnqueuePartOne into the finishing
+  /// item's database, and appends the outbox rows. Resets
+  /// state->continuations and state->follow_up on entry (transaction
   /// bodies re-run on conflict).
   Status ApplyResultExtras(fdb::Transaction& txn, const WorkerJob& job,
-                           const WorkResult& result,
-                           std::vector<EnqueueFollowUp>* follow_ups,
-                           std::vector<std::string>* continuation_ids);
-  /// Post-commit bookkeeping for applied extras: stats, continuation birth
-  /// spans, tenant metrics, and the enqueues' best-effort follow-ups.
+                           const WorkResult& result, FinishState* state);
+  /// Post-commit bookkeeping for applied extras: stats, and the
+  /// continuations' Quick::EnqueueEpilogue.
   void AfterResultExtras(const WorkerJob& job, const WorkResult& result,
-                         const std::vector<EnqueueFollowUp>& follow_ups,
-                         const std::vector<std::string>& continuation_ids);
+                         const FinishState& state);
 
   // Lease extender.
   void ExtenderLoop();

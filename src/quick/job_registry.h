@@ -13,6 +13,7 @@
 #include "common/backoff.h"
 #include "common/clock.h"
 #include "common/status.h"
+#include "quick/quick.h"
 
 namespace quick::fdb {
 class Transaction;
@@ -46,23 +47,6 @@ struct WorkContext {
 
 using Handler = std::function<Status(WorkContext&)>;
 
-/// A work item the finishing handler asks QuiCK to enqueue atomically with
-/// its own Complete — Gray's queued-transaction pattern ("Queues Are
-/// Databases"): the dequeue of step N and the enqueue of step N+1 commit in
-/// the same FoundationDB transaction, so a crash at any point leaves either
-/// both or neither. The continuation targets the finished item's own
-/// database (same cluster by construction); local items continue into their
-/// cluster's top-level queue.
-struct ContinuationEnqueue {
-  std::string job_type;
-  std::string payload;
-  int64_t priority = 0;
-  /// Optional idempotency id; random when empty. Workflow steps use
-  /// deterministic ids so a re-executed finish cannot fork the chain.
-  std::string id;
-  int64_t vesting_delay_millis = 0;
-};
-
 /// An intended external side-effect, recorded as a transactional-outbox row
 /// in the same transaction as the item's finish. The OutboxRelay later
 /// applies it to the external store under `idempotency_key` — a crash
@@ -84,7 +68,12 @@ struct OutboxEffect {
 /// applies nothing.
 struct WorkResult {
   Status status;
-  std::vector<ContinuationEnqueue> continuations;
+  /// Work enqueued in the finish transaction (Gray's queued transaction,
+  /// "Queues Are Databases"): into the finished item's own database, or a
+  /// local item's cluster top-level queue. An empty id is random; workflow
+  /// steps use deterministic ids so a re-executed finish cannot fork the
+  /// chain.
+  std::vector<DelayedItem> continuations;
   std::vector<OutboxEffect> effects;
   /// Runs inside the finish transaction after the queue transition, for
   /// arbitrary same-transaction state (e.g. the workflow record). May be

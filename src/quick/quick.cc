@@ -1,5 +1,8 @@
 #include "quick/quick.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "cloudkit/migration_state.h"
 #include "common/random.h"
 #include "fdb/retry.h"
@@ -7,11 +10,43 @@
 
 namespace quick::core {
 
-Result<std::string> Quick::EnqueueInTransaction(fdb::Transaction* txn,
-                                                const ck::DatabaseRef& db,
-                                                const WorkItem& item,
-                                                int64_t vesting_delay_millis,
-                                                EnqueueFollowUp* follow_up) {
+namespace {
+
+ck::QueuedItem ToQueued(const WorkItem& item) {
+  ck::QueuedItem queued;
+  queued.id = item.id;
+  queued.job_type = item.job_type;
+  queued.priority = item.priority;
+  queued.payload = item.payload;
+  return queued;
+}
+
+}  // namespace
+
+Status Quick::EnqueuePartOne(fdb::Transaction* txn, const ck::DatabaseRef& db,
+                             std::span<DelayedItem> items,
+                             EnqueueFollowUp* follow_up) {
+  *follow_up = EnqueueFollowUp{};
+  if (items.empty()) return Status::OK();
+  const int64_t now = clock()->NowMillis();
+  const int64_t min_delay =
+      std::ranges::min_element(items, {}, &DelayedItem::vesting_delay_millis)
+          ->vesting_delay_millis;
+  follow_up->item_vesting_millis = now + min_delay;
+
+  if (db.id.kind == ck::DatabaseKind::kCluster) {
+    // §6 local work items go straight into the cluster's top-level queue:
+    // no tenant zone, no pointer, no migration fence. The shard is derived
+    // from the item id, so pick the id first.
+    for (DelayedItem& item : items) {
+      if (item.id.empty()) item.id = Random::ThreadLocal().NextUuid();
+      ck::QueueZone top_zone = OpenTopZoneFor(db, item.id, txn);
+      QUICK_RETURN_IF_ERROR(
+          top_zone.Enqueue(ToQueued(item), item.vesting_delay_millis).status());
+    }
+    return Status::OK();
+  }
+
   // Migration fence: a strong read of the tenant's MoveState key. When a
   // move has sealed the tenant, back off (kTenantMoving — non-retryable,
   // so it escapes the FDB retry loop; the producer runner re-resolves
@@ -19,22 +54,25 @@ Result<std::string> Quick::EnqueueInTransaction(fdb::Transaction* txn,
   // with a racing seal transaction's write — any enqueue serialized after
   // the seal is guaranteed to have seen it, which is what makes the
   // balancer's post-seal final copy exact.
-  if (db.id.kind != ck::DatabaseKind::kCluster) {
-    QUICK_ASSIGN_OR_RETURN(std::optional<ck::MoveState> fence,
-                           ck::MoveState::ReadFence(*txn, db.id));
-    if (fence.has_value()) {
-      return Status::TenantMoving("tenant " + db.id.ToString() +
-                                  " is moving to " + fence->dest_cluster);
-    }
+  QUICK_ASSIGN_OR_RETURN(std::optional<ck::MoveState> fence,
+                         ck::MoveState::ReadFence(*txn, db.id));
+  if (fence.has_value()) {
+    return Status::TenantMoving("tenant " + db.id.ToString() +
+                                " is moving to " + fence->dest_cluster);
   }
 
-  // Add the work item to the tenant's queue zone Q_DB.
   ck::QueueZone tenant_zone = OpenTenantZone(db, txn);
 
-  // §5 push-notification hook: detect whether this item will be the new
-  // queue front (snapshot index read; only when a notifier is registered).
-  bool is_front = false;
-  if (notifier_ != nullptr && follow_up != nullptr) {
+  // §5 push-notification hook: the request's first item in (priority,
+  // vesting) order is the queue's front after commit when it sorts
+  // strictly before the current head (one snapshot index read, only when
+  // a notifier is registered).
+  const DelayedItem* front = nullptr;
+  if (notifier_ != nullptr) {
+    auto key = [now](const DelayedItem& item) {
+      return std::make_pair(item.priority, now + item.vesting_delay_millis);
+    };
+    front = &*std::ranges::min_element(items, {}, key);
     rl::IndexScanOptions head_opts;
     head_opts.limit = 1;
     head_opts.snapshot = true;
@@ -42,64 +80,73 @@ Result<std::string> Quick::EnqueueInTransaction(fdb::Transaction* txn,
         std::vector<rl::IndexEntry> head,
         tenant_zone.store()->ScanIndex(ck::QueueZone::kVestingIndex,
                                        tup::Tuple(), head_opts));
-    if (head.empty()) {
-      is_front = true;
-    } else {
+    if (!head.empty()) {
       QUICK_ASSIGN_OR_RETURN(int64_t head_priority,
                              head[0].indexed_values.GetInt(0));
       QUICK_ASSIGN_OR_RETURN(int64_t head_vesting,
                              head[0].indexed_values.GetInt(1));
-      const int64_t item_vesting =
-          clock()->NowMillis() + vesting_delay_millis;
-      is_front = std::make_pair(item.priority, item_vesting) <
-                 std::make_pair(head_priority, head_vesting);
+      if (key(*front) >= std::make_pair(head_priority, head_vesting)) {
+        front = nullptr;
+      }
     }
   }
 
-  ck::QueuedItem queued;
-  queued.id = item.id;
-  queued.job_type = item.job_type;
-  queued.priority = item.priority;
-  queued.payload = item.payload;
-  QUICK_ASSIGN_OR_RETURN(std::string item_id,
-                         tenant_zone.Enqueue(queued, vesting_delay_millis));
+  for (DelayedItem& item : items) {
+    QUICK_ASSIGN_OR_RETURN(
+        item.id,
+        tenant_zone.Enqueue(ToQueued(item), item.vesting_delay_millis));
+  }
+  if (front != nullptr) {
+    follow_up->notify_front = true;
+    follow_up->front_item_id = front->id;
+    follow_up->front_vesting_millis = now + front->vesting_delay_millis;
+  }
 
   // Pointer existence is a point read of the pointer-index key in Q_C —
   // deliberately not the pointer record, whose frequent lease/requeue
   // updates would otherwise conflict with every enqueue (§6).
-  const Pointer pointer{db.id, config_.queue_zone_name};
+  follow_up->pointer = Pointer{db.id, config_.queue_zone_name};
+  const std::string pointer_key = follow_up->pointer.Key();
   const ck::DatabaseRef cluster_db = ck_->OpenClusterDb(db.cluster->name());
-  ck::QueueZone top_zone = OpenTopZoneFor(cluster_db, pointer.Key(), txn);
   const std::string index_key =
-      top_zone.DbKeyIndexEntryKey(pointer.Key(), pointer.Key());
+      OpenTopZoneFor(cluster_db, pointer_key, txn)
+          .DbKeyIndexEntryKey(pointer_key, pointer_key);
   QUICK_ASSIGN_OR_RETURN(std::optional<std::string> index_entry,
                          txn->Get(index_key));
+  follow_up->pointer_existed = index_entry.has_value();
+  if (follow_up->pointer_existed) return Status::OK();
+  // Create the pointer; its index entry is written in this transaction,
+  // so a concurrent delete (which reads the zone and clears this index
+  // key) conflicts with us — the §6 correctness argument.
+  return CreatePointer(txn, cluster_db, follow_up->pointer, min_delay);
+}
 
-  const int64_t now = clock()->NowMillis();
-  if (follow_up != nullptr) {
-    follow_up->pointer = pointer;
-    follow_up->item_vesting_millis = now + vesting_delay_millis;
-    follow_up->pointer_existed = index_entry.has_value();
-    follow_up->notify_front = is_front;
-    follow_up->item_id = item_id;
-  }
-  if (!index_entry.has_value()) {
-    // Create the pointer; its index entry is written in this transaction,
-    // so a concurrent delete (which reads the zone and clears this index
-    // key) conflicts with us — the §6 correctness argument.
-    ck::QueuedItem pointer_item = pointer.ToItem();
-    pointer_item.last_active_time = now;
-    QUICK_RETURN_IF_ERROR(
-        top_zone.Enqueue(std::move(pointer_item), vesting_delay_millis)
-            .status());
-  }
-  return item_id;
+Result<std::string> Quick::EnqueueInTransaction(fdb::Transaction* txn,
+                                                const ck::DatabaseRef& db,
+                                                const WorkItem& item,
+                                                int64_t vesting_delay_millis,
+                                                EnqueueFollowUp* follow_up) {
+  DelayedItem one{item, vesting_delay_millis};
+  QUICK_RETURN_IF_ERROR(EnqueuePartOne(txn, db, {&one, 1}, follow_up));
+  return std::move(one.id);
+}
+
+Status Quick::CreatePointer(fdb::Transaction* txn,
+                            const ck::DatabaseRef& cluster_db,
+                            const Pointer& pointer,
+                            int64_t vesting_delay_millis) {
+  ck::QueueZone top_zone = OpenTopZoneFor(cluster_db, pointer.Key(), txn);
+  ck::QueuedItem pointer_item = pointer.ToItem();
+  pointer_item.last_active_time = clock()->NowMillis();
+  return top_zone.Enqueue(std::move(pointer_item), vesting_delay_millis)
+      .status();
 }
 
 void Quick::ExecuteFollowUp(const ck::DatabaseRef& db,
                             const EnqueueFollowUp& follow_up) {
   if (follow_up.notify_front && notifier_ != nullptr) {
-    notifier_(db.id, follow_up.item_id, follow_up.item_vesting_millis);
+    notifier_(db.id, follow_up.front_item_id,
+              follow_up.front_vesting_millis);
   }
   if (!follow_up.pointer_existed) return;
   // Best effort, single attempt: if this conflicts with a consumer, the
@@ -122,6 +169,37 @@ void Quick::ExecuteFollowUp(const ck::DatabaseRef& db,
   (void)txn.Commit();  // ignore failures: optimization only
 }
 
+void Quick::EnqueueEpilogue(const ck::DatabaseRef& db,
+                            std::span<const DelayedItem> items,
+                            const EnqueueFollowUp& follow_up,
+                            const TraceHooks& hooks,
+                            const EnqueueBirth& birth) {
+  tenant_metrics_.OnEnqueued(db.id, static_cast<int64_t>(items.size()));
+  // Birth spans are keyed by the ids part one assigned and recorded only
+  // for committed requests. An operator requeue opens a new incarnation
+  // that must reach its own terminal span.
+  if (hooks.enabled() && !items.empty()) {
+    const char* name = birth.dead_letter_requeue ? stage::kDeadLetterRequeued
+                                                 : stage::kEnqueued;
+    const int64_t end_micros = hooks.NowMicros();
+    const std::string detail = "db=" + db.id.ToString() +
+                               " batch=" + std::to_string(items.size()) +
+                               " delay_ms=";
+    for (const DelayedItem& item : items) {
+      hooks.Record(item.id, name, birth.start_micros, end_micros,
+                   detail + std::to_string(item.vesting_delay_millis),
+                   birth.parent);
+    }
+    if (db.id.kind != ck::DatabaseKind::kCluster &&
+        !follow_up.pointer_existed) {
+      hooks.Record(follow_up.pointer.Key(), stage::kPointerCreated,
+                   birth.start_micros, end_micros, std::string(),
+                   /*parent=*/items.front().id);
+    }
+  }
+  ExecuteFollowUp(db, follow_up);
+}
+
 // ---------------------------------------------------------------------------
 // The producer runner. Like the consumer's RunStep, a synchronous request
 // keeps the blocking commit on the calling thread; a request given an
@@ -137,7 +215,7 @@ struct Quick::Production {
   int attempt = 0;
   // Set by each attempt; the committed one's values are the request's.
   ck::DatabaseRef db{};
-  std::vector<std::string> ids{};
+  std::vector<DelayedItem> items{};
   EnqueueFollowUp follow_up{};
   fdb::Promise<Result<std::vector<std::string>>> promise{};
 };
@@ -148,8 +226,10 @@ fdb::Future<Result<std::vector<std::string>>> Quick::Produce(
       std::move(request), exec, std::move(cancel), clock()->NowMicros()});
   const ck::DatabaseId& db_id = p->request.db_id;
   // Admission is checked once per request, before any transaction work;
-  // fence retries never re-charge the buckets.
-  if (admission_ != nullptr && !p->request.dead_letter_requeue) {
+  // fence retries never re-charge the buckets. Operator requeues and local
+  // items (no tenant) are uncharged.
+  if (admission_ != nullptr && !p->request.dead_letter_requeue &&
+      db_id.kind != ck::DatabaseKind::kCluster) {
     const AdmissionDecision d = admission_->AdmitEnqueue(
         db_id, ck_->placement()->AssignOrGet(db_id),
         static_cast<int64_t>(p->request.items.size()));
@@ -177,25 +257,22 @@ void Quick::ProduceAttempt(const std::shared_ptr<Production>& p) {
   // Re-resolve placement each attempt: after a move's flip the tenant's
   // new home admits the request.
   p->db = ck_->OpenDatabase(p->request.db_id);
+  if (p->db.cluster == nullptr) {  // the ClusterDB of an unknown cluster
+    ProduceDone(*p, Status::InvalidArgument("unknown cluster for " +
+                                            p->request.db_id.ToString()));
+    return;
+  }
   auto body = [this, p](fdb::Transaction& txn) -> Status {
     std::vector<WorkItem> items = p->request.items;
     if (p->request.body) {
       QUICK_RETURN_IF_ERROR(p->request.body(txn, p->db, &items));
     }
-    p->ids.clear();
-    for (const WorkItem& item : items) {
-      // Only the first item can create the pointer; later ones see the
-      // buffered index entry through read-your-writes, so the first item's
-      // follow-up is the request's.
-      EnqueueFollowUp follow_up;
-      QUICK_ASSIGN_OR_RETURN(
-          std::string id,
-          EnqueueInTransaction(&txn, p->db, item,
-                               p->request.vesting_delay_millis, &follow_up));
-      if (p->ids.empty()) p->follow_up = follow_up;
-      p->ids.push_back(std::move(id));
+    p->items.clear();
+    p->items.reserve(items.size());
+    for (WorkItem& item : items) {
+      p->items.push_back({std::move(item), p->request.vesting_delay_millis});
     }
-    return Status::OK();
+    return EnqueuePartOne(&txn, p->db, p->items, &p->follow_up);
   };
   auto then = [this, p](const Status& st) {
     if (!st.IsTenantMoving() || p->attempt++ >= kMoveRetryAttempts) {
@@ -221,31 +298,15 @@ void Quick::ProduceDone(Production& p, const Status& st) {
     p.promise.Set(st);
     return;
   }
-  tenant_metrics_.OnEnqueued(p.request.db_id,
-                             static_cast<int64_t>(p.ids.size()));
-  // Birth spans are keyed by the ids EnqueueInTransaction assigned and
-  // recorded only for committed requests. An operator requeue opens a new
-  // incarnation that must reach its own terminal span.
   const bool requeue = p.request.dead_letter_requeue;
-  const TraceHooks hooks(tracer_, clock(), requeue ? "admin" : "producer");
-  if (hooks.enabled() && !p.ids.empty()) {
-    const int64_t end_micros = hooks.NowMicros();
-    for (const std::string& id : p.ids) {
-      hooks.Record(id, requeue ? stage::kDeadLetterRequeued : stage::kEnqueued,
-                   p.start_micros, end_micros,
-                   "db=" + p.request.db_id.ToString() +
-                       " batch=" + std::to_string(p.ids.size()) +
-                       " delay_ms=" +
-                       std::to_string(p.request.vesting_delay_millis));
-    }
-    if (!p.follow_up.pointer_existed) {
-      hooks.Record(p.follow_up.pointer.Key(), stage::kPointerCreated,
-                   p.start_micros, end_micros, std::string(),
-                   /*parent=*/p.ids.front());
-    }
-  }
-  ExecuteFollowUp(p.db, p.follow_up);
-  p.promise.Set(p.ids);
+  EnqueueEpilogue(
+      p.db, p.items, p.follow_up,
+      TraceHooks(tracer_, clock(), requeue ? "admin" : "producer"),
+      {.start_micros = p.start_micros, .dead_letter_requeue = requeue});
+  std::vector<std::string> ids;
+  ids.reserve(p.items.size());
+  for (DelayedItem& item : p.items) ids.push_back(std::move(item.id));
+  p.promise.Set(std::move(ids));
 }
 
 Result<std::string> Quick::Enqueue(const ck::DatabaseId& db_id,
@@ -287,38 +348,8 @@ fdb::Future<Status> Quick::EnqueueAsync(const ck::DatabaseId& db_id,
 Result<std::string> Quick::EnqueueLocal(const std::string& cluster_name,
                                         const WorkItem& item,
                                         int64_t vesting_delay_millis) {
-  const ck::DatabaseRef cluster_db = ck_->OpenClusterDb(cluster_name);
-  if (cluster_db.cluster == nullptr) {
-    return Status::InvalidArgument("unknown cluster " + cluster_name);
-  }
-  // The shard is derived from the item id, so pick the id up front.
-  const std::string local_id =
-      item.id.empty() ? Random::ThreadLocal().NextUuid() : item.id;
-  const TraceHooks hooks(tracer_, clock(), "producer");
-  const int64_t start_micros = hooks.enabled() ? hooks.NowMicros() : 0;
-  std::string item_id;
-  Status st =
-      fdb::RunTransaction(cluster_db.cluster, [&](fdb::Transaction& txn) {
-        ck::QueueZone top_zone = OpenTopZoneFor(cluster_db, local_id, &txn);
-        ck::QueuedItem queued;
-        queued.id = local_id;
-        queued.job_type = item.job_type;
-        queued.priority = item.priority;
-        queued.payload = item.payload;
-        Result<std::string> r =
-            top_zone.Enqueue(std::move(queued), vesting_delay_millis);
-        QUICK_RETURN_IF_ERROR(r.status());
-        item_id = *r;
-        return Status::OK();
-      });
-  QUICK_RETURN_IF_ERROR(st);
-  tenant_metrics_.OnEnqueued(cluster_db.id, 1);
-  if (hooks.enabled()) {
-    hooks.Record(item_id, stage::kEnqueued, start_micros, hooks.NowMicros(),
-                 "local cluster=" + cluster_name +
-                     " delay_ms=" + std::to_string(vesting_delay_millis));
-  }
-  return item_id;
+  return Enqueue(ck::DatabaseId::Cluster(cluster_name), item,
+                 vesting_delay_millis);
 }
 
 Result<int64_t> Quick::PendingCount(const ck::DatabaseId& db_id) {

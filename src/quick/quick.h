@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@
 
 namespace quick::core {
 
+class TraceHooks;
+
 /// A client-facing work item.
 struct WorkItem {
   std::string job_type;
@@ -27,10 +30,17 @@ struct WorkItem {
   std::string id;
 };
 
+/// A work item with its own vesting delay: one entry of part one's list
+/// (Quick::EnqueuePartOne). A consumer's continuations are these.
+struct DelayedItem : WorkItem {
+  int64_t vesting_delay_millis = 0;
+};
+
 /// Callback invoked after an enqueue commits an item at the FRONT of its
 /// queue (§5 "Push notifications"): the sketched client-notification path —
 /// CloudKit's daemon would arm a timer for `vesting_time` and wake the app
-/// then, instead of polling. Invoked outside any transaction.
+/// then, instead of polling. Invoked outside any transaction, at most once
+/// per request.
 using FrontOfQueueNotifier =
     std::function<void(const ck::DatabaseId& db_id, const std::string& item_id,
                        int64_t vesting_time)>;
@@ -38,16 +48,29 @@ using FrontOfQueueNotifier =
 /// Deferred follow-up of a two-part enqueue (§6 "Reducing contention
 /// between producers and consumers"): when the pointer already existed,
 /// part two — a separate, best-effort transaction — lowers its vesting
-/// time if the new item would otherwise wait too long. Never fails the
-/// client request.
+/// time if the request's earliest item would otherwise wait too long.
+/// Never fails the client request.
 struct EnqueueFollowUp {
   bool pointer_existed = false;
   Pointer pointer;
+  /// The earliest vesting time among the request's items.
   int64_t item_vesting_millis = 0;
-  /// Set when the new item landed at the front of its queue and a
-  /// FrontOfQueueNotifier is registered; ExecuteFollowUp fires it.
+  /// Set when one of the request's items is the front of its queue after
+  /// commit and a FrontOfQueueNotifier is registered; ExecuteFollowUp
+  /// fires it for that item.
   bool notify_front = false;
-  std::string item_id;
+  std::string front_item_id;
+  int64_t front_vesting_millis = 0;
+};
+
+/// What the epilogue's birth spans say besides the caller's actor.
+struct EnqueueBirth {
+  int64_t start_micros = 0;
+  /// The finishing item whose continuations these are; empty otherwise.
+  std::string parent{};
+  /// An operator requeue: the items are reborn with kDeadLetterRequeued,
+  /// not kEnqueued.
+  bool dead_letter_requeue = false;
 };
 
 /// One request for Quick::Produce (DESIGN.md §11): the items to enqueue
@@ -75,36 +98,64 @@ class Quick {
   Quick(ck::CloudKitService* ck, QuickConfig config = {})
       : ck_(ck), config_(config) {}
 
-  /// Part one of the enqueue protocol, composable with the client's own
-  /// writes in `txn` (which must be on `db`'s cluster): adds the item to
-  /// Q_DB and — reading the exact pointer-index key, never the pointer
-  /// record — creates the Q_C pointer when missing. On success *follow_up
-  /// says whether ExecuteFollowUp should run after commit.
+  /// Part one of §6's enqueue protocol for a list of items, composable
+  /// with the caller's own writes in `txn` (which must be on `db`'s
+  /// cluster). Into a tenant it makes one migration-fence read, writes
+  /// every item into Q_DB, reads the exact pointer-index key once (never
+  /// the pointer record) and creates the Q_C pointer when it is missing,
+  /// vesting with the earliest item; each item past the first costs one
+  /// read, its record's previous image. Into a ClusterDB it writes each
+  /// item straight into its Q_C shard as a §6 local item: no fence, no
+  /// pointer. Fills in empty item ids. On success *follow_up (required)
+  /// says what ExecuteFollowUp should do after commit.
+  Status EnqueuePartOne(fdb::Transaction* txn, const ck::DatabaseRef& db,
+                        std::span<DelayedItem> items,
+                        EnqueueFollowUp* follow_up);
+
+  /// EnqueuePartOne for one item; returns its id. Each call pays the
+  /// fence and pointer-index reads again.
   Result<std::string> EnqueueInTransaction(fdb::Transaction* txn,
                                            const ck::DatabaseRef& db,
                                            const WorkItem& item,
                                            int64_t vesting_delay_millis,
                                            EnqueueFollowUp* follow_up);
 
+  /// Creates `pointer` in its Q_C shard on `cluster_db`'s cluster within
+  /// `txn`, vesting after `vesting_delay_millis`. Part one calls it when
+  /// the pointer index has no entry; a tenant move calls it for the
+  /// queued work it carries.
+  Status CreatePointer(fdb::Transaction* txn, const ck::DatabaseRef& cluster_db,
+                       const Pointer& pointer, int64_t vesting_delay_millis);
+
   /// Part two: best-effort vesting-time fix-up in its own transaction.
   /// Failures (e.g. conflicts with a consumer leasing the pointer) are
   /// absorbed — this is an optimization, not a correctness requirement.
+  /// Fires the front-of-queue notification first.
   void ExecuteFollowUp(const ck::DatabaseRef& db,
                        const EnqueueFollowUp& follow_up);
+
+  /// The epilogue of a committed EnqueuePartOne, run once per request:
+  /// counts the items in ck.tenant.enqueued, records each item's birth
+  /// span and, when part one made the pointer, kPointerCreated under
+  /// `hooks`' actor, then runs part two.
+  void EnqueueEpilogue(const ck::DatabaseRef& db,
+                       std::span<const DelayedItem> items,
+                       const EnqueueFollowUp& follow_up,
+                       const TraceHooks& hooks, const EnqueueBirth& birth);
 
   /// Migration-fence retries per producer request, each re-resolving
   /// placement so the request lands at a moved tenant's new home.
   static constexpr int kMoveRetryAttempts = 10;
   static constexpr int64_t kMoveRetryDelayMillis = 20;
 
-  /// The producer runner; every tenant enqueue is one request. Checks
-  /// admission once, then commits the body's writes and part one for each
-  /// item, retrying a migration fence; after commit it counts the items in
-  /// ck.tenant.enqueued, records their birth spans (and kPointerCreated
-  /// when the request made the pointer) and runs part two. Without `exec`
-  /// it commits on the calling thread and returns a ready future; with
-  /// one it commits through RunTransactionAsync, and `exec` and this Quick
-  /// must outlive the future. Resolves with the item ids.
+  /// The producer runner; every client enqueue is one request. Checks
+  /// admission once (operator requeues and local items are uncharged),
+  /// then commits the body's writes and part one, retrying a migration
+  /// fence; after commit it runs the epilogue (actor "producer", or
+  /// "admin" for a requeue). Without `exec` it commits on the calling
+  /// thread and returns a ready future; with one it commits through
+  /// RunTransactionAsync, and `exec` and this Quick must outlive the
+  /// future. Resolves with the item ids.
   fdb::Future<Result<std::vector<std::string>>> Produce(
       ProduceRequest request, fdb::Executor* exec = nullptr,
       fdb::CancelToken cancel = {});
@@ -142,6 +193,7 @@ class Quick {
 
   /// §6 local work items: enqueued directly into cluster `cluster_name`'s
   /// top-level queue alongside pointers; they never migrate with a tenant.
+  /// Enqueue into the cluster's ClusterDB, uncharged.
   Result<std::string> EnqueueLocal(const std::string& cluster_name,
                                    const WorkItem& item,
                                    int64_t vesting_delay_millis = 0);
@@ -182,24 +234,17 @@ class Quick {
            std::to_string(ShardIndexFor(item_id, n));
   }
 
-  /// Shard name under the *global* shard count (clusters without a
-  /// per-cluster override).
-  std::string TopZoneNameFor(const std::string& item_id) const {
-    if (config_.top_zone_shards <= 1) return config_.top_zone_name;
-    return config_.top_zone_name + "/" +
-           std::to_string(ShardIndexFor(item_id, config_.top_zone_shards));
-  }
-
   /// All top-level shard zone names a consumer must scan on
   /// `cluster_name`, in shard order.
   std::vector<std::string> TopZoneNames(const std::string& cluster_name) const {
-    return ShardNames(TopZoneShards(cluster_name));
-  }
-
-  /// Shard names under the global shard count.
-  std::vector<std::string> TopZoneNames() const {
-    return ShardNames(config_.top_zone_shards < 1 ? 1
-                                                  : config_.top_zone_shards);
+    const int n = TopZoneShards(cluster_name);
+    if (n <= 1) return {config_.top_zone_name};
+    std::vector<std::string> names;
+    names.reserve(n);
+    for (int i = 0; i < n; ++i) {
+      names.push_back(config_.top_zone_name + "/" + std::to_string(i));
+    }
+    return names;
   }
 
   /// Opens the top-level queue shard that holds `item_id`. The shard is
@@ -240,7 +285,7 @@ class Quick {
   /// capture the tracer at construction).
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  /// Admission gate consulted by every tenant enqueue (Produce) and by
+  /// Admission gate consulted by every charged Produce request and by
   /// consumer dispatch. Null (the default) admits everything. Not thread-safe;
   /// call during setup.
   AdmissionGate* admission() const { return admission_; }
@@ -254,16 +299,6 @@ class Quick {
   struct Production;
   void ProduceAttempt(const std::shared_ptr<Production>& p);
   void ProduceDone(Production& p, const Status& st);
-
-  std::vector<std::string> ShardNames(int n) const {
-    if (n <= 1) return {config_.top_zone_name};
-    std::vector<std::string> names;
-    names.reserve(n);
-    for (int i = 0; i < n; ++i) {
-      names.push_back(config_.top_zone_name + "/" + std::to_string(i));
-    }
-    return names;
-  }
 
   ck::CloudKitService* ck_;
   QuickConfig config_;

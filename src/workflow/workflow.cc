@@ -61,10 +61,10 @@ std::string WorkflowEngine::JobTypeFor(const std::string& saga) {
   return "_wf." + saga;
 }
 
-core::ContinuationEnqueue WorkflowEngine::StepItem(
+core::DelayedItem WorkflowEngine::StepItem(
     const std::string& workflow_id, const std::string& saga, bool compensating,
     int step, const std::string& payload) {
-  core::ContinuationEnqueue item;
+  core::DelayedItem item;
   item.job_type = JobTypeFor(saga);
   item.id = compensating ? CompensateItemId(workflow_id, step)
                          : ForwardItemId(workflow_id, step);
@@ -324,12 +324,11 @@ fdb::Future<Status> WorkflowEngine::Launch(const ck::DatabaseId& db_id,
   r.created_millis = r.updated_millis = quick_->clock()->NowMillis();
   const std::string key = ck::WorkflowRecord::Key(db_id, workflow_id);
   const std::string record = r.Encode();
-  const core::ContinuationEnqueue step0 =
+  const core::DelayedItem step0 =
       StepItem(workflow_id, spec->name, /*compensating=*/false, 0, payload);
   core::ProduceRequest request;
   request.db_id = db_id;
-  request.items.push_back(
-      {.job_type = step0.job_type, .payload = step0.payload, .id = step0.id});
+  request.items.push_back(step0);
   request.body = [key, record, workflow_id](fdb::Transaction& txn,
                                             const ck::DatabaseRef&,
                                             std::vector<core::WorkItem>*) {

@@ -116,10 +116,10 @@ class WorkflowEngine {
   };
   /// The queue item that runs `step` of a workflow (its compensation when
   /// `compensating`), carrying `payload`.
-  static core::ContinuationEnqueue StepItem(const std::string& workflow_id,
-                                            const std::string& saga,
-                                            bool compensating, int step,
-                                            const std::string& payload);
+  static core::DelayedItem StepItem(const std::string& workflow_id,
+                                    const std::string& saga,
+                                    bool compensating, int step,
+                                    const std::string& payload);
   static std::optional<DecodedPayload> DecodePayload(std::string_view raw);
 
   core::WorkResult RunForward(const std::shared_ptr<const SagaSpec>& spec,

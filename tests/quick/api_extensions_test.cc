@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "fdb/retry.h"
+#include "quick/consumer.h"
 #include "quick/quick.h"
 
 namespace quick::core {
@@ -125,6 +126,57 @@ TEST_F(ApiExtensionsTest, NotifierFiresForHigherPriorityItem) {
   high.priority = 0;  // jumps the line
   ASSERT_TRUE(quick_->Enqueue(db, high, 0).ok());
   EXPECT_EQ(notified, 2);
+}
+
+// One front-of-queue rule for every way into a queue: a request notifies
+// once, for the item at the front after commit. A (priority 0) then B
+// (priority -1) into an empty zone: B is the front.
+TEST_F(ApiExtensionsTest, BatchNotifiesOnceForTheFrontAfterCommit) {
+  std::vector<std::string> notified;
+  quick_->SetFrontOfQueueNotifier(
+      [&](const ck::DatabaseId&, const std::string& item_id, int64_t) {
+        notified.push_back(item_id);
+      });
+  const ck::DatabaseId db = ck::DatabaseId::Private("app", "u1");
+  WorkItem a;
+  a.job_type = "t";
+  a.id = "A";
+  WorkItem b = a;
+  b.id = "B";
+  b.priority = -1;
+  ASSERT_TRUE(quick_->EnqueueBatch(db, {a, b}).ok());
+  EXPECT_EQ(notified, std::vector<std::string>{"B"});
+}
+
+TEST_F(ApiExtensionsTest, ContinuationsNotifyOnceForTheFrontAfterCommit) {
+  JobRegistry registry;
+  registry.RegisterWork("fan", [](WorkContext&) {
+    WorkResult r;
+    DelayedItem a;
+    a.job_type = "t";
+    a.id = "A";
+    DelayedItem b = a;
+    b.id = "B";
+    b.priority = -1;
+    r.continuations = {a, b};
+    return r;
+  });
+  const ck::DatabaseId db = ck::DatabaseId::Private("app", "u1");
+  WorkItem start;
+  start.job_type = "fan";
+  ASSERT_TRUE(quick_->Enqueue(db, start).ok());
+  // The finish completes the zone's only item, then enqueues A and B.
+  std::vector<std::string> notified;
+  quick_->SetFrontOfQueueNotifier(
+      [&](const ck::DatabaseId&, const std::string& item_id, int64_t) {
+        notified.push_back(item_id);
+      });
+  ConsumerConfig config;
+  config.sequential = true;
+  config.relaxed_reads_for_peek = false;
+  Consumer consumer(quick_.get(), {"c1"}, &registry, config, "consumer");
+  ASSERT_EQ(consumer.RunOnePass("c1").value_or(-1), 1);
+  EXPECT_EQ(notified, std::vector<std::string>{"B"});
 }
 
 TEST_F(ApiExtensionsTest, NoNotifierNoOverhead) {

@@ -481,7 +481,7 @@ TEST_P(PipelinePathTest, TerminalHandlerExtrasRideTheQuarantine) {
       core::RetryPolicy{},
       [](core::WorkContext& ctx, const Status&) {
         core::WorkResult r;
-        core::ContinuationEnqueue undo;
+        core::DelayedItem undo;
         undo.job_type = "compensate";
         undo.payload = "undo-" + ctx.item.payload;
         undo.id = "undo-" + ctx.item.id;

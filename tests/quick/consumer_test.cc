@@ -517,7 +517,7 @@ class ContinuationFanOutTest : public ConsumerTest {
     registry_.RegisterWork("fan", [fan_out](WorkContext&) {
       WorkResult r;
       for (int i = 0; i < fan_out; ++i) {
-        ContinuationEnqueue c;
+        DelayedItem c;
         c.job_type = "ok_job";
         c.vesting_delay_millis = 60000;
         r.continuations.push_back(c);
@@ -556,20 +556,25 @@ class ContinuationFanOutTest : public ConsumerTest {
 };
 
 // Every continuation of one finish lands in the finishing tenant's zone
-// under its one pointer, so they share one part-two transaction. A finish
-// with 3 or 8 continuations takes the GRVs and commits of a finish with
-// one; its extra reads are the extra items' part one, which an EnqueueBatch
-// of the same items pays too.
+// under its one pointer, so they share one part one and one part-two
+// transaction. A finish with 3 or 8 continuations takes the GRVs and
+// commits of a finish with one, and each extra item costs exactly one
+// read, its record's previous image: part one reads the migration fence
+// and the pointer index once per request. An EnqueueBatch into a live
+// zone pays the same.
 TEST_F(ContinuationFanOutTest, OnePartTwoPerFinish) {
   const FdbCost one = FinishWithContinuations(1);
   const FdbCost batch_one = BatchIntoLiveZone(1);
   for (int k : {3, 8}) {
-    SCOPED_TRACE("continuations=" + std::to_string(k));
+    SCOPED_TRACE("items=" + std::to_string(k));
     const FdbCost many = FinishWithContinuations(k);
     const FdbCost batch = BatchIntoLiveZone(k);
     EXPECT_EQ(many.grvs, one.grvs);
     EXPECT_EQ(many.commits, one.commits);
-    EXPECT_EQ(many.reads - one.reads, batch.reads - batch_one.reads);
+    EXPECT_EQ(many.reads - one.reads, k - 1);
+    EXPECT_EQ(batch.grvs, batch_one.grvs);
+    EXPECT_EQ(batch.commits, batch_one.commits);
+    EXPECT_EQ(batch.reads - batch_one.reads, k - 1);
   }
 }
 
@@ -594,7 +599,7 @@ TEST_F(ContinuationFanOutTest, LaterContinuationThatVestsFirstLowersPointer) {
     EXPECT_TRUE(fdb::RunTransaction(cluster_db.cluster, park_pointer).ok());
     WorkResult r;
     for (int64_t delay : {30000, 0}) {
-      ContinuationEnqueue c;
+      DelayedItem c;
       c.job_type = "ok_job";
       c.vesting_delay_millis = delay;
       r.continuations.push_back(c);

@@ -220,7 +220,12 @@ TEST_F(EnqueueTest, LocalItemGoesStraightToTopQueue) {
   auto id = quick_->EnqueueLocal("c1", item, 0);
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(quick_->TopLevelCount("c1").value(), 1);
-  EXPECT_FALSE(quick_->EnqueueLocal("ghost", item, 0).ok());
+  EXPECT_EQ(quick_->EnqueueLocal("ghost", item, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(quick_->Enqueue(ck::DatabaseId::Cluster("ghost"), item)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(EnqueueTest, ClientProvidedIdIsRespected) {

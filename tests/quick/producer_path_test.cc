@@ -1,17 +1,20 @@
-// One producer path. Every client-side enqueue entry point is one row of a
-// table — Quick::Enqueue, EnqueueBatch and EnqueueAsync,
+// One way into a queue. Every enqueue entry point is one row of a table —
+// Quick::Enqueue, EnqueueBatch, EnqueueAsync and EnqueueLocal,
 // WorkflowEngine::Start and StartAsync, QuickAdmin::RequeueDeadLetter and
-// wl::Harness::EnqueueSim — and every row must behave the same way:
+// RequeueClusterDeadLetter, wl::Harness::EnqueueSim, and a consumer finish
+// whose handler returns one continuation — and every row must behave the
+// same way, except where a row's flags say a check does not apply:
 //  (a) a refusing admission gate yields kThrottled and writes nothing (no
-//      item, no pointer, no workflow record); the operator requeue is
-//      uncharged and goes through;
+//      item, no pointer, no workflow record); operator requeues, local
+//      items and continuations are uncharged and go through;
 //  (b) a sealed tenant yields kTenantMoving only after the runner's fence
 //      retry budget (Quick::kMoveRetryAttempts sleeps of
 //      kMoveRetryDelayMillis) and writes nothing; a dead letter stays
-//      quarantined;
+//      quarantined. Local items have no fence; a continuation's fence fails
+//      its whole finish at once instead of being retried;
 //  (c) a committed request adds its item count to ck.tenant.enqueued,
 //      records each item's birth span, and records kPointerCreated iff it
-//      made the tenant's Q_C pointer.
+//      made the tenant's Q_C pointer (local items have none).
 // And a 3-item EnqueueSim costs exactly the GRVs and reads of a 3-item
 // EnqueueBatch.
 //
@@ -37,6 +40,7 @@
 #include "fdb/executor.h"
 #include "fdb/retry.h"
 #include "quick/admin.h"
+#include "quick/consumer.h"
 #include "quick/quick.h"
 #include "quick/trace_hooks.h"
 #include "workflow/workflow.h"
@@ -74,9 +78,17 @@ struct EntryPoint {
   std::string name;
   /// Items one call enqueues.
   int items = 1;
-  /// Whether the call is charged by admission (all but the operator
-  /// requeue).
+  /// Whether the call is charged by admission (client enqueues; not
+  /// operator requeues, local items or continuations).
   bool charged = true;
+  /// An operator requeue: its items are reborn kDeadLetterRequeued.
+  bool requeue = false;
+  /// §6 local items: into the cluster's Q_C, with no fence and no pointer.
+  bool local = false;
+  /// A continuation, staged inside a consumer's finish: the finishing
+  /// item's enqueue made the pointer, and a fence fails the whole finish
+  /// instead of being retried.
+  bool in_finish = false;
   /// EnqueueSim exists only on the workload harness.
   bool on_harness = false;
   /// Calls the entry point once for tenant `tenant` (ProducerPathTest::Db).
@@ -114,7 +126,10 @@ class ProducerPathTest : public ::testing::TestWithParam<EntryPoint> {
     admin_ = std::make_unique<QuickAdmin>(quick_);
   }
 
+  /// The database a row's calls enqueue into: the tenant's, or for local
+  /// rows the cluster's ClusterDB.
   ck::DatabaseId Db(int tenant) const {
+    if (GetParam().local) return ck::DatabaseId::Cluster("c1");
     return harness_ != nullptr ? harness_->ClientDb(tenant)
                                : ck::DatabaseId::Private(
                                      "producer", "t" + std::to_string(tenant));
@@ -149,13 +164,16 @@ class ProducerPathTest : public ::testing::TestWithParam<EntryPoint> {
     return quick_->clock()->NowMillis() + exec_.now_millis();
   }
 
-  /// Plants a quarantined item in the tenant's zone (raw writes: no
-  /// pointer, no spans, no counters) and returns its id.
+  /// Plants a quarantined item in the tenant's zone, or a local row's
+  /// Q_C shard (raw writes: no pointer, no spans, no counters), and
+  /// returns its id.
   std::string PlantDeadLetter(int tenant) {
     const std::string id = "dl-" + std::to_string(++planted_);
     const ck::DatabaseRef db = quick_->cloudkit()->OpenDatabase(Db(tenant));
     Status st = fdb::RunTransaction(db.cluster, [&](fdb::Transaction& txn) {
-      ck::QueueZone zone = quick_->OpenTenantZone(db, &txn);
+      ck::QueueZone zone = GetParam().local
+                               ? quick_->OpenTopZoneFor(db, id, &txn)
+                               : quick_->OpenTenantZone(db, &txn);
       ck::QueuedItem item;
       item.id = id;
       item.job_type = "job";
@@ -164,6 +182,40 @@ class ProducerPathTest : public ::testing::TestWithParam<EntryPoint> {
     });
     EXPECT_TRUE(st.ok()) << st;
     return id;
+  }
+
+  /// Plants an item of type "finish" in the tenant's zone with parts one
+  /// and two but no epilogue (it makes the pointer when missing or lowers
+  /// it; no counters, no spans) and returns its id. ZoneIds leaves it out.
+  std::string PlantFinishingItem(int tenant) {
+    const ck::DatabaseRef db = quick_->cloudkit()->OpenDatabase(Db(tenant));
+    WorkItem item;
+    item.job_type = "finish";
+    item.id = "finishing-" + std::to_string(++planted_);
+    EnqueueFollowUp follow_up;
+    Status st = fdb::RunTransaction(db.cluster, [&](fdb::Transaction& txn) {
+      return quick_->EnqueueInTransaction(&txn, db, item, 0, &follow_up)
+          .status();
+    });
+    EXPECT_TRUE(st.ok()) << st;
+    quick_->ExecuteFollowUp(db, follow_up);
+    finishing_.insert(item.id);
+    return item.id;
+  }
+
+  /// Lowers the tenant's migration fence; returns whether one was up.
+  bool LiftSeal(int tenant) {
+    const ck::DatabaseRef db = quick_->cloudkit()->OpenDatabase(Db(tenant));
+    bool was_sealed = false;
+    EXPECT_TRUE(fdb::RunTransaction(db.cluster, [&](fdb::Transaction& txn) {
+                  QUICK_ASSIGN_OR_RETURN(
+                      std::optional<std::string> raw,
+                      txn.Get(ck::MoveState::Key(Db(tenant))));
+                  was_sealed = raw.has_value();
+                  txn.Clear(ck::MoveState::Key(Db(tenant)));
+                  return Status::OK();
+                }).ok());
+    return was_sealed;
   }
 
   /// Raises the migration fence on the tenant's home cluster, as a
@@ -179,16 +231,29 @@ class ProducerPathTest : public ::testing::TestWithParam<EntryPoint> {
                 }).ok());
   }
 
-  /// Ids of the live items in the tenant's queue zone.
+  /// Ids of the live items in the tenant's queue zone, or for local rows
+  /// in the cluster's Q_C (pointers aside); planted finishing items are
+  /// left out.
   std::set<std::string> ZoneIds(int tenant) {
     const ck::DatabaseRef db = quick_->cloudkit()->OpenDatabase(Db(tenant));
     std::set<std::string> ids;
     Status st = fdb::RunTransaction(db.cluster, [&](fdb::Transaction& txn) {
       ids.clear();
-      ck::QueueZone zone = quick_->OpenTenantZone(db, &txn);
-      QUICK_ASSIGN_OR_RETURN(std::vector<ck::QueuedItem> items,
-                             zone.SnapshotAll());
-      for (const ck::QueuedItem& item : items) ids.insert(item.id);
+      auto collect = [&](ck::QueueZone zone) -> Status {
+        QUICK_ASSIGN_OR_RETURN(std::vector<ck::QueuedItem> items,
+                               zone.SnapshotAll());
+        for (const ck::QueuedItem& item : items) {
+          if (item.job_type == ck::kPointerJobType) continue;
+          if (finishing_.count(item.id) == 0) ids.insert(item.id);
+        }
+        return Status::OK();
+      };
+      if (!GetParam().local) return collect(quick_->OpenTenantZone(db, &txn));
+      for (const std::string& shard :
+           quick_->TopZoneNames(db.cluster->name())) {
+        QUICK_RETURN_IF_ERROR(
+            collect(quick_->cloudkit()->OpenQueueZone(db, shard, &txn)));
+      }
       return Status::OK();
     });
     EXPECT_TRUE(st.ok()) << st;
@@ -237,13 +302,20 @@ class ProducerPathTest : public ::testing::TestWithParam<EntryPoint> {
     return Pointer{Db(tenant), quick_->config().queue_zone_name}.Key();
   }
 
-  /// Asserts the refused or fenced request left the tenant untouched.
+  /// Asserts the refused or fenced request left the tenant untouched (a
+  /// finishing item's pointer aside, on which the consumer records its
+  /// lease spans).
   void ExpectNothingWritten(int tenant, int64_t enqueued_before) {
     EXPECT_TRUE(ZoneIds(tenant).empty());
-    EXPECT_EQ(TopLevelEntries(tenant), 0) << "a Q_C pointer was created";
+    EXPECT_EQ(TopLevelEntries(tenant), GetParam().in_finish ? 1 : 0)
+        << "a Q_C pointer was created";
     EXPECT_EQ(WorkflowRecords(tenant), 0u);
     EXPECT_EQ(EnqueuedCounter(tenant), enqueued_before);
-    EXPECT_FALSE(tracer_.Has(PointerKey(tenant)));
+    if (GetParam().in_finish) {
+      EXPECT_EQ(SpansNamed(PointerKey(tenant), stage::kPointerCreated), 0);
+    } else {
+      EXPECT_FALSE(tracer_.Has(PointerKey(tenant)));
+    }
   }
 
   ManualClock clock_{1000000};
@@ -257,8 +329,10 @@ class ProducerPathTest : public ::testing::TestWithParam<EntryPoint> {
   std::unique_ptr<wf::WorkflowEngine> engine_;
   std::unique_ptr<QuickAdmin> admin_;
   fdb::ManualExecutor exec_;
-  /// Dead letters planted so far; numbers their ids.
+  /// Items planted so far; numbers their ids.
   int planted_ = 0;
+  /// Planted finishing items (PlantFinishingItem).
+  std::set<std::string> finishing_;
 };
 
 Status CallEnqueue(ProducerPathTest& t, int tenant) {
@@ -298,14 +372,72 @@ Status CallEnqueueSim(ProducerPathTest& t, int tenant) {
   return t.harness_->EnqueueSim(tenant, 3);
 }
 
+Status CallEnqueueLocal(ProducerPathTest& t, int) {
+  return t.quick_->EnqueueLocal("c1", ProducerPathTest::Item()).status();
+}
+
+Status CallRequeueClusterDeadLetter(ProducerPathTest& t, int tenant) {
+  return t.admin_->RequeueClusterDeadLetter("c1", t.PlantDeadLetter(tenant));
+}
+
+/// A finish whose handler returns one continuation, driven by RunOnePass.
+/// The consumer does not report a failed finish, so the call reports
+/// whether the finishing item completed. A sealed zone cannot be dequeued:
+/// when the tenant starts sealed, the fence is lifted for the dequeue and
+/// raised again by the handler, before the finish.
+Status CallContinuation(ProducerPathTest& t, int tenant) {
+  const bool sealed = t.LiftSeal(tenant);
+  const std::string finishing = t.PlantFinishingItem(tenant);
+  t.registry_.RegisterWork("finish", [&t, tenant, sealed](WorkContext&) {
+    if (sealed) t.Seal(tenant);
+    WorkResult result;
+    DelayedItem next;
+    next.job_type = "job";
+    next.payload = "p";
+    result.continuations.push_back(next);
+    return result;
+  });
+  t.registry_.Register("job", [](WorkContext&) { return Status::OK(); });
+  ConsumerConfig config;
+  config.sequential = true;
+  config.relaxed_reads_for_peek = false;
+  config.dequeue_max = 8;  // the previous call's continuation comes first
+  Consumer consumer(t.quick_, {"c1"}, &t.registry_, config, "consumer");
+  QUICK_RETURN_IF_ERROR(consumer.RunOnePass("c1").status());
+  if (t.SpansNamed(finishing, stage::kCompleted) != 1) {
+    return Status::FailedPrecondition("the finish of " + finishing +
+                                      " did not commit");
+  }
+  return Status::OK();
+}
+
 const EntryPoint kEntryPoints[] = {
-    {"Enqueue", 1, true, false, CallEnqueue},
-    {"EnqueueBatch", 3, true, false, CallEnqueueBatch},
-    {"EnqueueAsync", 1, true, false, CallEnqueueAsync},
-    {"Start", 1, true, false, CallStart},
-    {"StartAsync", 1, true, false, CallStartAsync},
-    {"RequeueDeadLetter", 1, false, false, CallRequeueDeadLetter},
-    {"EnqueueSim", 3, true, true, CallEnqueueSim},
+    {.name = "Enqueue", .call = CallEnqueue},
+    {.name = "EnqueueBatch", .items = 3, .call = CallEnqueueBatch},
+    {.name = "EnqueueAsync", .call = CallEnqueueAsync},
+    {.name = "Start", .call = CallStart},
+    {.name = "StartAsync", .call = CallStartAsync},
+    {.name = "RequeueDeadLetter",
+     .charged = false,
+     .requeue = true,
+     .call = CallRequeueDeadLetter},
+    {.name = "EnqueueSim",
+     .items = 3,
+     .on_harness = true,
+     .call = CallEnqueueSim},
+    {.name = "EnqueueLocal",
+     .charged = false,
+     .local = true,
+     .call = CallEnqueueLocal},
+    {.name = "RequeueClusterDeadLetter",
+     .charged = false,
+     .requeue = true,
+     .local = true,
+     .call = CallRequeueClusterDeadLetter},
+    {.name = "Continuation",
+     .charged = false,
+     .in_finish = true,
+     .call = CallContinuation},
 };
 
 TEST_P(ProducerPathTest, RefusingGateThrottlesAndWritesNothing) {
@@ -316,7 +448,7 @@ TEST_P(ProducerPathTest, RefusingGateThrottlesAndWritesNothing) {
 
   const Status st = row.call(*this, 0);
   if (!row.charged) {
-    // The operator requeue is uncharged: the gate is never consulted.
+    // Uncharged: the gate is never asked about the enqueue.
     EXPECT_TRUE(st.ok()) << st;
     EXPECT_EQ(gate.calls, 0);
     EXPECT_EQ(ZoneIds(0).size(), 1u);
@@ -335,15 +467,29 @@ TEST_P(ProducerPathTest, SealedTenantRetriesTheFenceThenWritesNothing) {
   const int64_t t0 = Elapsed();
 
   const Status st = row.call(*this, 0);
-  EXPECT_TRUE(st.IsTenantMoving()) << st;
-  const int64_t budget =
-      Quick::kMoveRetryAttempts * Quick::kMoveRetryDelayMillis;
-  EXPECT_GE(Elapsed() - t0, budget);
-  if (!row.on_harness) {
-    EXPECT_EQ(Elapsed() - t0, budget);
+  if (row.local) {
+    // No tenant, no fence: the request commits at once.
+    EXPECT_TRUE(st.ok()) << st;
+    EXPECT_EQ(Elapsed(), t0);
+    EXPECT_EQ(ZoneIds(0).size(), 1u);
+    return;
+  }
+  if (row.in_finish) {
+    // The fence fails the whole finish at once; the finishing item's
+    // lease then runs out and a consumer at the new home re-executes it.
+    EXPECT_FALSE(st.ok()) << st;
+    EXPECT_EQ(Elapsed(), t0);
+  } else {
+    EXPECT_TRUE(st.IsTenantMoving()) << st;
+    const int64_t budget =
+        Quick::kMoveRetryAttempts * Quick::kMoveRetryDelayMillis;
+    EXPECT_GE(Elapsed() - t0, budget);
+    if (!row.on_harness) {
+      EXPECT_EQ(Elapsed() - t0, budget);
+    }
   }
   ExpectNothingWritten(0, enqueued_before);
-  if (!row.charged) {
+  if (row.requeue) {
     EXPECT_EQ(DeadLetters(0), 1) << "the dead letter left the quarantine";
   }
 }
@@ -351,7 +497,8 @@ TEST_P(ProducerPathTest, SealedTenantRetriesTheFenceThenWritesNothing) {
 TEST_P(ProducerPathTest, CommitCountsSpansAndPointerCreation) {
   const EntryPoint& row = GetParam();
   const char* birth =
-      row.charged ? stage::kEnqueued : stage::kDeadLetterRequeued;
+      row.requeue ? stage::kDeadLetterRequeued : stage::kEnqueued;
+  const bool makes_pointer = !row.local && !row.in_finish;
   std::set<std::string> seen;
   // The first call makes the tenant's pointer; the second finds it.
   for (int call = 0; call < 2; ++call) {
@@ -369,9 +516,11 @@ TEST_P(ProducerPathTest, CommitCountsSpansAndPointerCreation) {
     for (const std::string& id : fresh) {
       EXPECT_EQ(SpansNamed(id, birth), 1) << id;
     }
-    EXPECT_EQ(SpansNamed(PointerKey(0), stage::kPointerCreated), 1);
+    EXPECT_EQ(SpansNamed(PointerKey(0), stage::kPointerCreated),
+              makes_pointer ? 1 : 0);
   }
-  EXPECT_EQ(TopLevelEntries(0), 1);
+  // A tenant's one pointer, or both calls' local items.
+  EXPECT_EQ(TopLevelEntries(0), row.local ? 2 * row.items : 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -79,12 +79,12 @@ class ShardedTopQueueTest : public ::testing::Test {
 };
 
 TEST_F(ShardedTopQueueTest, ShardNamesStableAndComplete) {
-  EXPECT_EQ(quick_->TopZoneNames().size(), 4u);
+  EXPECT_EQ(quick_->TopZoneNames("c1").size(), 4u);
   // Assignment is deterministic and within the shard set.
-  const std::string name = quick_->TopZoneNameFor("some-pointer-key");
-  EXPECT_EQ(name, quick_->TopZoneNameFor("some-pointer-key"));
+  const std::string name = quick_->TopZoneNameFor("c1", "some-pointer-key");
+  EXPECT_EQ(name, quick_->TopZoneNameFor("c1", "some-pointer-key"));
   bool found = false;
-  for (const std::string& shard : quick_->TopZoneNames()) {
+  for (const std::string& shard : quick_->TopZoneNames("c1")) {
     if (shard == name) found = true;
   }
   EXPECT_TRUE(found);
@@ -97,7 +97,8 @@ TEST_F(ShardedTopQueueTest, PointersSpreadAcrossShards) {
         ck::DatabaseId::Private("app", "user" + std::to_string(i));
     MustEnqueue(db);
     Pointer p{db, quick_->config().queue_zone_name};
-    used_shards.insert(quick_->TopZoneNameFor(p.Key()));
+    used_shards.insert(quick_->TopZoneNameFor(
+        ck_->OpenDatabase(db).cluster->name(), p.Key()));
   }
   // 40 hashed keys into 4 shards: all shards essentially surely hit.
   EXPECT_GE(used_shards.size(), 3u);
