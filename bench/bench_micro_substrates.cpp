@@ -1,12 +1,15 @@
-// Micro-benchmarks of the substrates: tuple encoding, FDB simulator
-// transactions, record-store operations, and queue-zone primitives. Not a
-// paper figure — operational baselines for the layers everything above
-// depends on.
+// Micro-benchmarks of the substrates: tuple encoding, record decoding, FDB
+// simulator transactions, record-store operations, and queue-zone
+// primitives. Not a paper figure — operational baselines for the layers
+// everything above depends on.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -16,6 +19,24 @@
 #include "fdb/retry.h"
 #include "reclayer/record_store.h"
 #include "tuple/tuple.h"
+
+namespace {
+/// Heap allocations made by the current thread, counted by the replacement
+/// operator new below (BM_RecordDecode reports them per decode).
+thread_local int64_t t_allocations = 0;
+}  // namespace
+
+// Kept out of line, so the compiler does not pair an inlined free() with
+// the operator new call that allocated the pointer.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace quick {
 namespace {
@@ -38,6 +59,34 @@ void BM_TupleDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TupleDecode);
+
+// Decodes a record of `fields` int fields whose names fit the small-string
+// buffer, so a flat record allocates only its field table. Reports the heap
+// allocations per decode: a count, so bench-smoke can gate that a record's
+// fields do not each cost an allocation on any host.
+void BM_RecordDecode(benchmark::State& state) {
+  const int64_t fields = state.range(0);
+  rl::Record record("R");
+  for (int64_t i = 0; i < fields; ++i) {
+    char name[8];
+    std::snprintf(name, sizeof(name), "f%02d", static_cast<int>(i));
+    record.SetInt(name, 1000 * i);
+  }
+  const std::string encoded = record.Serialize();
+  int64_t allocations = 0;
+  for (auto _ : state) {
+    const int64_t before = t_allocations;
+    Result<rl::Record> decoded = rl::Record::Deserialize(encoded);
+    allocations += t_allocations - before;
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.counters["allocs_per_decode"] =
+      static_cast<double>(allocations) /
+      static_cast<double>(state.iterations());
+  bench::BenchReportCollector::Global()->ReportRun(
+      "BM_RecordDecode/" + std::to_string(fields), state);
+}
+BENCHMARK(BM_RecordDecode)->ArgNames({"fields"})->Arg(2)->Arg(32);
 
 void BM_FdbSetCommit(benchmark::State& state) {
   fdb::Database db("bench");

@@ -12,9 +12,11 @@ Two kinds of checks:
        >= 1.5x on concurrent commit throughput; a queue-zone Dequeue(1)
        reads no more index entries at a 16,384-item backlog than at 64;
        its storage scans visit no more version chains after 8,000
-       completions than after 1,000; and the prune that retires 1,000
-       churn commits visits no more chains beside 65,536 untouched live
-       keys than beside 1,000 (counts, so host speed cannot move them).
+       completions than after 1,000; the prune that retires 1,000 churn
+       commits visits no more chains beside 65,536 untouched live keys
+       than beside 1,000; and decoding a 32-field record makes at most
+       twice the heap allocations of decoding a 2-field one
+       (BM_RecordDecode) (counts, so host speed cannot move them).
      - fig7_contention: end-to-end throughput at the CI shape
        (selection_frac 0.05) improves with group commit on vs off.
      - admission_noisy_neighbor: admission control halves (>= 2x) the
@@ -145,6 +147,13 @@ def ratio_invariants(current):
                     "BM_FdbPruneAfterChurn/1000",
                     "BM_FdbPruneAfterChurn/65536",
                     "chains_per_prune", 1.0)
+        # Operands swapped likewise: the heap allocations decoding a
+        # 2-field record makes, over those of a 32-field one, is >= 0.5
+        # exactly when 32 fields cost at most twice the allocations of 2
+        # (DESIGN.md §4c, "Record codec").
+        check_ratio(current["micro_substrates"], "micro_substrates",
+                    "BM_RecordDecode/2", "BM_RecordDecode/32",
+                    "allocs_per_decode", 0.5)
     if "fig7_contention" in current:
         check_ratio(current["fig7_contention"], "fig7_contention",
                     "BM_Fig7_SelectionFrac/500/group",

@@ -44,7 +44,9 @@ Status ReadVestingKey(tup::TupleReader& reader, int64_t* priority,
 /// The item id of the primary key (record type, id) at `reader`.
 Result<std::string> ReadItemId(tup::TupleReader& reader) {
   QUICK_RETURN_IF_ERROR(reader.Skip());  // record type name
-  return reader.ReadString();
+  std::string id;
+  QUICK_RETURN_IF_ERROR(reader.ReadString(&id));
+  return id;
 }
 
 /// Entry bytes just past every entry of priority group `priority`: tuple
@@ -253,9 +255,17 @@ const rl::RecordMetadata& QueueZone::DeadLetterMetadata() {
 QueueZone::QueueZone(fdb::Transaction* txn, tup::Subspace zone_subspace,
                      Clock* clock, bool fifo)
     : txn_(txn),
-      store_(txn, zone_subspace, fifo ? &FifoMetadata() : &Metadata()),
-      dl_store_(txn, zone_subspace.Sub(kDeadLetterTag), &DeadLetterMetadata()),
+      store_(txn, std::move(zone_subspace),
+             fifo ? &FifoMetadata() : &Metadata()),
       clock_(clock) {}
+
+rl::RecordStore& QueueZone::DeadLetterStore() {
+  if (!dl_store_.has_value()) {
+    dl_store_.emplace(txn_, store_.subspace().Sub(kDeadLetterTag),
+                      &DeadLetterMetadata());
+  }
+  return *dl_store_;
+}
 
 Result<std::string> QueueZone::Enqueue(QueuedItem item,
                                        int64_t vesting_delay_millis) {
@@ -288,7 +298,8 @@ Result<std::optional<QueuedItem>> QueueZone::LoadItem(
       store_.LoadRecord(QueuedItem::kRecordType,
                         tup::Tuple().AddString(item_id), snapshot));
   if (!rec.has_value()) return std::optional<QueuedItem>(std::nullopt);
-  QUICK_ASSIGN_OR_RETURN(QueuedItem item, QueuedItem::FromRecord(*rec));
+  QUICK_ASSIGN_OR_RETURN(QueuedItem item,
+                         QueuedItem::FromRecord(*std::move(rec)));
   return std::optional<QueuedItem>(std::move(item));
 }
 
@@ -422,7 +433,7 @@ Status QueueZone::Quarantine(const std::string& item_id,
   dl.reason = reason;
   dl.final_error = final_error;
   dl.quarantine_time = clock_->NowMillis();
-  QUICK_RETURN_IF_ERROR(dl_store_.SaveRecord(dl.ToRecord()));
+  QUICK_RETURN_IF_ERROR(DeadLetterStore().SaveRecord(dl.ToRecord()));
   static Counter* counter = ZoneCounter("ck.zone.quarantines");
   counter->Increment();
   return Status::OK();
@@ -434,16 +445,17 @@ Result<std::vector<DeadLetterItem>> QueueZone::ListDeadLetters(int max_items) {
   while (cursor.has_value() && !Full(out.size(), max_items)) {
     QUICK_ASSIGN_OR_RETURN(
         std::vector<std::string> ids,
-        IdPage(dl_store_, kQuarantineTimeIndex,
+        IdPage(DeadLetterStore(), kQuarantineTimeIndex,
                Remaining(out.size(), max_items), QuarantineEntryId, &cursor));
     for (const std::string& id : ids) {
       QUICK_ASSIGN_OR_RETURN(
           std::optional<rl::Record> rec,
-          dl_store_.LoadRecord(DeadLetterItem::kRecordType,
-                               tup::Tuple().AddString(id), /*snapshot=*/true));
+          DeadLetterStore().LoadRecord(DeadLetterItem::kRecordType,
+                                       tup::Tuple().AddString(id),
+                                       /*snapshot=*/true));
       if (!rec.has_value()) continue;  // raced with a purge; snapshot scan
       QUICK_ASSIGN_OR_RETURN(DeadLetterItem item,
-                             DeadLetterItem::FromRecord(*rec));
+                             DeadLetterItem::FromRecord(*std::move(rec)));
       out.push_back(std::move(item));
     }
   }
@@ -454,11 +466,11 @@ Result<std::optional<DeadLetterItem>> QueueZone::LoadDeadLetter(
     const std::string& item_id) {
   QUICK_ASSIGN_OR_RETURN(
       std::optional<rl::Record> rec,
-      dl_store_.LoadRecord(DeadLetterItem::kRecordType,
-                           tup::Tuple().AddString(item_id)));
+      DeadLetterStore().LoadRecord(DeadLetterItem::kRecordType,
+                                   tup::Tuple().AddString(item_id)));
   if (!rec.has_value()) return std::optional<DeadLetterItem>(std::nullopt);
   QUICK_ASSIGN_OR_RETURN(DeadLetterItem item,
-                         DeadLetterItem::FromRecord(*rec));
+                         DeadLetterItem::FromRecord(*std::move(rec)));
   return std::optional<DeadLetterItem>(std::move(item));
 }
 
@@ -470,8 +482,8 @@ Result<DeadLetterItem> QueueZone::TakeDeadLetter(const std::string& item_id) {
   }
   QUICK_ASSIGN_OR_RETURN(
       bool deleted,
-      dl_store_.DeleteRecord(DeadLetterItem::kRecordType,
-                             tup::Tuple().AddString(item_id)));
+      DeadLetterStore().DeleteRecord(DeadLetterItem::kRecordType,
+                                     tup::Tuple().AddString(item_id)));
   if (!deleted) return Status::NotFound("dead-lettered item " + item_id);
   return *std::move(item);
 }
@@ -479,15 +491,15 @@ Result<DeadLetterItem> QueueZone::TakeDeadLetter(const std::string& item_id) {
 Status QueueZone::PurgeDeadLetter(const std::string& item_id) {
   QUICK_ASSIGN_OR_RETURN(
       bool deleted,
-      dl_store_.DeleteRecord(DeadLetterItem::kRecordType,
-                             tup::Tuple().AddString(item_id)));
+      DeadLetterStore().DeleteRecord(DeadLetterItem::kRecordType,
+                                     tup::Tuple().AddString(item_id)));
   return deleted ? Status::OK()
                  : Status::NotFound("dead-lettered item " + item_id);
 }
 
 Result<int64_t> QueueZone::DeadLetterCount() {
-  return dl_store_.GetCount(kDeadLetterCountIndex, tup::Tuple(),
-                            /*snapshot=*/true);
+  return DeadLetterStore().GetCount(kDeadLetterCountIndex, tup::Tuple(),
+                                    /*snapshot=*/true);
 }
 
 Result<std::vector<LeasedItem>> QueueZone::Dequeue(

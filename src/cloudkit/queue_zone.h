@@ -202,6 +202,9 @@ class QueueZone {
   Result<std::optional<QueuedItem>> LoadItem(const std::string& item_id,
                                              bool snapshot);
   Status Save(const QueuedItem& item);
+  /// The dead-letter store, opened on first use: most transactions never
+  /// touch it, so opening a zone does not derive its prefixes.
+  rl::RecordStore& DeadLetterStore();
   /// Peek as of `now`: up to max_items items vested by then that satisfy
   /// `predicate`, in (priority, vesting) order.
   Result<std::vector<QueuedItem>> PeekVestedBy(
@@ -212,8 +215,8 @@ class QueueZone {
   rl::RecordStore store_;
   /// Dead-letter quarantine, rooted at a child tag of the zone subspace —
   /// disjoint from the queue store's records/indexes, inside the zone's
-  /// keyspace prefix.
-  rl::RecordStore dl_store_;
+  /// keyspace prefix. Empty until DeadLetterStore() opens it.
+  std::optional<rl::RecordStore> dl_store_;
   Clock* clock_;
 };
 

@@ -42,7 +42,8 @@ struct QueuedItem {
   static constexpr const char* kRecordType = "QueuedItem";
 
   rl::Record ToRecord() const;
-  static Result<QueuedItem> FromRecord(const rl::Record& record);
+  /// Takes the record by value and moves its strings out.
+  static Result<QueuedItem> FromRecord(rl::Record record);
 
   bool leased() const { return !lease_id.empty(); }
 };
@@ -81,7 +82,8 @@ struct DeadLetterItem {
   static constexpr const char* kRecordType = "DeadLetterItem";
 
   rl::Record ToRecord() const;
-  static Result<DeadLetterItem> FromRecord(const rl::Record& record);
+  /// Takes the record by value and moves its strings out.
+  static Result<DeadLetterItem> FromRecord(rl::Record record);
 };
 
 }  // namespace quick::ck

@@ -71,9 +71,9 @@ Result<QuickAdmin::TenantQueueInfo> QuickAdmin::InspectTenant(
     info.vested_now = static_cast<int64_t>(vested.size());
     QUICK_ASSIGN_OR_RETURN(std::vector<rl::Record> all,
                            zone.store()->ScanRecords());
-    for (const rl::Record& rec : all) {
+    for (rl::Record& rec : all) {
       QUICK_ASSIGN_OR_RETURN(ck::QueuedItem item,
-                             ck::QueuedItem::FromRecord(rec));
+                             ck::QueuedItem::FromRecord(std::move(rec)));
       if (!info.oldest_enqueue_time.has_value() ||
           item.enqueue_time < *info.oldest_enqueue_time) {
         info.oldest_enqueue_time = item.enqueue_time;
@@ -119,9 +119,9 @@ Result<QuickAdmin::ClusterQueueInfo> QuickAdmin::InspectCluster(
       info.top_level_entries += row.entries;
       QUICK_ASSIGN_OR_RETURN(std::vector<rl::Record> shard_records,
                              top.store()->ScanRecords());
-      for (const rl::Record& rec : shard_records) {
+      for (rl::Record& rec : shard_records) {
         QUICK_ASSIGN_OR_RETURN(ck::QueuedItem item,
-                               ck::QueuedItem::FromRecord(rec));
+                               ck::QueuedItem::FromRecord(std::move(rec)));
         if (item.job_type == ck::kPointerJobType) {
           ++row.pointers;
           if (!info.oldest_pointer_last_active.has_value() ||
@@ -163,9 +163,9 @@ QuickAdmin::ListOutstandingQueues(const std::string& cluster_name, int limit) {
           quick_->cloudkit()->OpenQueueZone(cluster_db, shard, &txn);
       QUICK_ASSIGN_OR_RETURN(std::vector<rl::Record> shard_records,
                              top.store()->ScanRecords());
-      for (const rl::Record& rec : shard_records) {
+      for (rl::Record& rec : shard_records) {
         QUICK_ASSIGN_OR_RETURN(ck::QueuedItem item,
-                               ck::QueuedItem::FromRecord(rec));
+                               ck::QueuedItem::FromRecord(std::move(rec)));
         if (item.job_type != ck::kPointerJobType) continue;
         Result<Pointer> pointer = Pointer::FromItem(item);
         if (!pointer.ok()) continue;  // corrupt pointers are skipped here

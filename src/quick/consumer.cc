@@ -1225,7 +1225,16 @@ void Consumer::FinishStep(std::shared_ptr<const WorkerJob> job,
         stats_.finish_txn_micros.Record(state->end_micros -
                                         state->start_micros);
         if (observe_health) health_.Observe(job->cluster, st);
-        if (!st.ok()) return;
+        if (!st.ok()) {
+          // The transition did not commit, as far as this consumer knows:
+          // the lease runs out and the item runs again, so the span is
+          // not terminal.
+          stats_.finishes_failed.Increment();
+          hooks_.Record(job->leased.item.id, stage::kFinishFailed,
+                        state->start_micros, state->end_micros,
+                        std::string(what) + ": " + st.ToString());
+          return;
+        }
         if (state->fenced) {
           stats_.leases_lost.Increment();
           stats_.terminal_fenced.Increment();

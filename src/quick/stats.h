@@ -26,6 +26,9 @@
      because this consumer's lease had been superseded or the item was        \
      already gone — the zombie-consumer safety net. */                        \
   COUNTER(terminal_fenced)                                                    \
+  /* Finish transactions (complete/drop/quarantine/requeue) that failed to    \
+     commit; the item's lease runs out and it runs again. */                  \
+  COUNTER(finishes_failed)                                                    \
   COUNTER(items_throttled)                                                    \
   /* Dispatches refused by the admission gate; the item requeues with the     \
      gate's retry-after hint instead of entering the worker pool. */          \

@@ -13,7 +13,8 @@ namespace quick::core {
 /// by its item id; a pointer's chain by its pointer key (which doubles as
 /// its top-level item id). A well-formed work-item incarnation reads
 ///   birth stage -> (top_leased | dequeued) -> execute* -> terminal stage
-/// with any number of non-terminal requeued/fenced spans in between.
+/// with any number of non-terminal requeued/fenced/finish_failed spans in
+/// between.
 namespace stage {
 /// Birth stages — each one opens a new incarnation of the chain.
 inline constexpr const char* kEnqueued = "enqueued";
@@ -30,6 +31,9 @@ inline constexpr const char* kDequeued = "dequeued";
 inline constexpr const char* kExecute = "execute";
 /// Non-terminal transition: the item re-vests and will be retried.
 inline constexpr const char* kRequeued = "requeued";
+/// A finish transaction failed to commit (detail: the step and the
+/// status). Not terminal: the lease runs out and the item runs again.
+inline constexpr const char* kFinishFailed = "finish_failed";
 /// Admission-control denials. Pre-birth on the enqueue path (the item was
 /// never stored, so no incarnation opens); on the dispatch path the item
 /// requeues, so neither is terminal.

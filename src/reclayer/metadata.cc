@@ -1,5 +1,7 @@
 #include "reclayer/metadata.h"
 
+#include <algorithm>
+
 namespace quick::rl {
 
 Status RecordMetadata::AddRecordType(RecordTypeDef type) {
@@ -49,6 +51,13 @@ Status RecordMetadata::AddIndex(IndexDef index) {
         return Status::InvalidArgument("index " + index.name + " field " +
                                        field + " not defined on " + type_name);
       }
+    }
+  }
+  for (const std::string& field : index.fields) {
+    auto it = std::lower_bound(indexed_fields_.begin(), indexed_fields_.end(),
+                               field);
+    if (it == indexed_fields_.end() || *it != field) {
+      indexed_fields_.insert(it, field);
     }
   }
   indexes_.push_back(std::move(index));

@@ -94,12 +94,18 @@ class RecordMetadata {
     return record_types_;
   }
   const std::vector<IndexDef>& indexes() const { return indexes_; }
+  /// Every field some index reads, sorted, without repeats: the fields
+  /// RecordStore decodes of a record's previous image.
+  const std::vector<std::string>& indexed_fields() const {
+    return indexed_fields_;
+  }
   int version() const { return version_; }
 
  private:
   int version_;
   std::vector<RecordTypeDef> record_types_;
   std::vector<IndexDef> indexes_;
+  std::vector<std::string> indexed_fields_;
 };
 
 }  // namespace quick::rl

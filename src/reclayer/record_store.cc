@@ -114,13 +114,18 @@ Status RecordStore::SaveRecord(const Record& record) {
   QUICK_RETURN_IF_ERROR(record.Validate(*type));
   QUICK_ASSIGN_OR_RETURN(tup::Tuple pk, record.PrimaryKey(*type));
 
-  // Index maintenance needs the previous image to clear stale entries.
+  // Index maintenance needs the previous image to clear stale entries. The
+  // read stays strong even when no index moves: its conflict is what makes
+  // two leases of one item collide. Only the fields indexes read are
+  // decoded.
   const std::string key = RecordKey(pk);
   QUICK_ASSIGN_OR_RETURN(std::optional<std::string> old_bytes,
                          txn_->Get(key));
   std::optional<Record> old_record;
   if (old_bytes.has_value()) {
-    QUICK_ASSIGN_OR_RETURN(Record old, Record::Deserialize(*old_bytes));
+    QUICK_ASSIGN_OR_RETURN(
+        Record old,
+        Record::Deserialize(*old_bytes, &metadata_->indexed_fields()));
     old_record = std::move(old);
   }
   txn_->Set(key, record.Serialize());
@@ -201,7 +206,9 @@ Result<bool> RecordStore::DeleteRecord(const std::string& type,
   const std::string key = RecordKey(full_pk);
   QUICK_ASSIGN_OR_RETURN(std::optional<std::string> bytes, txn_->Get(key));
   if (!bytes.has_value()) return false;
-  QUICK_ASSIGN_OR_RETURN(Record record, Record::Deserialize(*bytes));
+  QUICK_ASSIGN_OR_RETURN(
+      Record record,
+      Record::Deserialize(*bytes, &metadata_->indexed_fields()));
   QUICK_RETURN_IF_ERROR(RemoveIndexEntries(record, full_pk));
   txn_->Clear(key);
   return true;

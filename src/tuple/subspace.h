@@ -21,11 +21,10 @@ class Subspace {
   /// Child subspace: this prefix + Encode(t).
   Subspace Sub(const Tuple& t) const { return Subspace(prefix_ + t.Encode()); }
 
-  /// Convenience single-element children.
-  Subspace Sub(int64_t v) const { return Sub(Tuple().AddInt(v)); }
-  Subspace Sub(std::string_view s) const {
-    return Sub(Tuple().AddString(std::string(s)));
-  }
+  /// Convenience single-element children, encoded straight onto a copy of
+  /// this prefix (no Tuple built).
+  Subspace Sub(int64_t v) const;
+  Subspace Sub(std::string_view s) const;
 
   /// Key for tuple `t` within this subspace.
   std::string Pack(const Tuple& t) const { return prefix_ + t.Encode(); }

@@ -21,11 +21,16 @@ constexpr uint8_t kTrueCode = 0x27;
 constexpr uint8_t kUuidCode = 0x30;
 constexpr uint8_t kEscape = 0xFF;
 
+/// Appends `s` with each zero byte escaped as 0x00 0xFF, then the 0x00
+/// terminator, copying each run between zero bytes in one step.
 void EncodeRawWithEscaping(std::string_view s, std::string* out) {
-  for (char c : s) {
-    out->push_back(c);
-    if (c == '\x00') out->push_back(static_cast<char>(kEscape));
+  for (size_t zero = s.find('\x00'); zero != std::string_view::npos;
+       zero = s.find('\x00')) {
+    out->append(s.data(), zero + 1);
+    out->push_back(static_cast<char>(kEscape));
+    s.remove_prefix(zero + 1);
   }
+  out->append(s.data(), s.size());
   out->push_back('\x00');
 }
 
@@ -51,8 +56,6 @@ double SortableBitsToDouble(uint64_t bits) {
   std::memcpy(&d, &bits, sizeof(d));
   return d;
 }
-
-void EncodeElement(const Element& e, std::string* out);
 
 void EncodeInt(int64_t v, std::string* out) {
   if (v == 0) {
@@ -92,13 +95,27 @@ void EncodeNested(const Tuple& t, std::string* out) {
       out->push_back('\x00');
       out->push_back(static_cast<char>(kEscape));
     } else {
-      EncodeElement(e, out);
+      AppendElement(e, out);
     }
   }
   out->push_back('\x00');
 }
 
-void EncodeElement(const Element& e, std::string* out) {
+int TypeRank(const Element& e) {
+  // Must match the cross-type order induced by the type codes.
+  if (std::holds_alternative<Null>(e)) return 0;
+  if (std::holds_alternative<Bytes>(e)) return 1;
+  if (std::holds_alternative<std::string>(e)) return 2;
+  if (std::holds_alternative<Tuple>(e)) return 3;
+  if (std::holds_alternative<int64_t>(e)) return 4;
+  if (std::holds_alternative<double>(e)) return 5;
+  if (std::holds_alternative<bool>(e)) return 6;
+  return 7;  // Uuid
+}
+
+}  // namespace
+
+void AppendElement(const Element& e, std::string* out) {
   if (std::holds_alternative<Null>(e)) {
     out->push_back(static_cast<char>(kNullCode));
   } else if (const auto* b = std::get_if<Bytes>(&e)) {
@@ -125,19 +142,10 @@ void EncodeElement(const Element& e, std::string* out) {
   }
 }
 
-int TypeRank(const Element& e) {
-  // Must match the cross-type order induced by the type codes.
-  if (std::holds_alternative<Null>(e)) return 0;
-  if (std::holds_alternative<Bytes>(e)) return 1;
-  if (std::holds_alternative<std::string>(e)) return 2;
-  if (std::holds_alternative<Tuple>(e)) return 3;
-  if (std::holds_alternative<int64_t>(e)) return 4;
-  if (std::holds_alternative<double>(e)) return 5;
-  if (std::holds_alternative<bool>(e)) return 6;
-  return 7;  // Uuid
+void AppendString(std::string_view s, std::string* out) {
+  out->push_back(static_cast<char>(kStringCode));
+  EncodeRawWithEscaping(s, out);
 }
-
-}  // namespace
 
 Status TupleReader::Read(Element* out) {
   if (done()) return Status::InvalidArgument("truncated tuple");
@@ -146,18 +154,10 @@ Status TupleReader::Read(Element* out) {
     case kNullCode:
       *out = Null{};
       return Status::OK();
-    case kBytesCode: {
-      std::string s;
-      QUICK_RETURN_IF_ERROR(ReadEscaped(&s));
-      *out = Bytes{std::move(s)};
-      return Status::OK();
-    }
-    case kStringCode: {
-      std::string s;
-      QUICK_RETURN_IF_ERROR(ReadEscaped(&s));
-      *out = std::move(s);
-      return Status::OK();
-    }
+    case kBytesCode:
+      return ReadEscaped(&out->emplace<Bytes>().data);
+    case kStringCode:
+      return ReadEscaped(&out->emplace<std::string>());
     case kNestedCode: {
       Tuple t;
       QUICK_RETURN_IF_ERROR(ReadNested(&t));
@@ -209,24 +209,50 @@ Result<int64_t> TupleReader::ReadInt() {
   return ReadIntBody(code);
 }
 
-Result<std::string> TupleReader::ReadString() {
+Status TupleReader::ReadString(std::string* out) {
   if (done()) return Status::InvalidArgument("truncated tuple");
   if (Byte(pos_) != kStringCode) {
     return Status::InvalidArgument("element is not a string");
   }
   ++pos_;
-  std::string s;
-  QUICK_RETURN_IF_ERROR(ReadEscaped(&s));
-  return s;
+  out->clear();
+  return ReadEscaped(out);
 }
 
 Status TupleReader::Skip() {
-  if (!done() && (Byte(pos_) == kStringCode || Byte(pos_) == kBytesCode)) {
-    ++pos_;
-    return ReadEscaped(nullptr);
+  if (done()) return Status::InvalidArgument("truncated tuple");
+  const uint8_t code = Byte(pos_);
+  size_t width;  // bytes after the type code
+  switch (code) {
+    case kStringCode:
+    case kBytesCode:
+      ++pos_;
+      return ReadEscaped(nullptr);
+    case kNullCode:
+    case kFalseCode:
+    case kTrueCode:
+      width = 0;
+      break;
+    case kDoubleCode:
+      width = 8;
+      break;
+    case kUuidCode:
+      width = 16;
+      break;
+    default:
+      if (code >= kIntZeroCode - 8 && code <= kIntZeroCode + 8) {
+        ++pos_;
+        return ReadIntBody(code).status();  // checks overflow, as Read does
+      }
+      Element ignored;  // nested tuples; unknown codes fail here
+      return Read(&ignored);
   }
-  Element ignored;
-  return Read(&ignored);
+  if (pos_ + 1 + width > in_.size()) {
+    pos_ = in_.size();
+    return Status::InvalidArgument("truncated tuple");
+  }
+  pos_ += 1 + width;
+  return Status::OK();
 }
 
 Status TupleReader::ReadNested(Tuple* out) {
@@ -272,18 +298,19 @@ Result<int64_t> TupleReader::ReadIntBody(uint8_t code) {
 }
 
 Status TupleReader::ReadEscaped(std::string* out) {
+  // One step per run between zero bytes: find the next 0x00, append the
+  // run before it; a 0x00 0xFF pair is an escaped zero byte, a lone 0x00
+  // the terminator.
   while (true) {
-    if (done()) return Status::InvalidArgument("unterminated byte string");
-    const uint8_t b = Byte(pos_++);
-    if (b == 0x00) {
-      if (pos_ < in_.size() && Byte(pos_) == kEscape) {
-        if (out != nullptr) out->push_back('\x00');
-        ++pos_;
-        continue;
-      }
-      return Status::OK();
+    const size_t zero = in_.find('\x00', pos_);
+    if (zero == std::string_view::npos) {
+      pos_ = in_.size();
+      return Status::InvalidArgument("unterminated byte string");
     }
-    if (out != nullptr) out->push_back(static_cast<char>(b));
+    const bool escaped = zero + 1 < in_.size() && Byte(zero + 1) == kEscape;
+    if (out != nullptr) out->append(in_.data() + pos_, zero - pos_ + escaped);
+    pos_ = zero + 1 + escaped;
+    if (!escaped) return Status::OK();
   }
 }
 
@@ -386,7 +413,7 @@ bool Tuple::IsNull(size_t i) const {
 
 std::string Tuple::Encode() const {
   std::string out;
-  for (const Element& e : elements_) EncodeElement(e, &out);
+  for (const Element& e : elements_) AppendElement(e, &out);
   return out;
 }
 

@@ -105,6 +105,13 @@ class Tuple {
 /// Compares single elements with the same order the encoding induces.
 std::strong_ordering CompareElements(const Element& a, const Element& b);
 
+/// Appends one element's encoding to `out`, as Tuple::Encode would write it
+/// there: for callers that build a key or a record straight into one
+/// buffer instead of through a Tuple of copied elements.
+void AppendElement(const Element& e, std::string* out);
+/// Appends the encoding of the string element `s` (no Element built).
+void AppendString(std::string_view s, std::string* out);
+
 /// Sequential decoder over an encoded tuple: reads one element at a time
 /// without building a Tuple, so a hot scan decodes only the fields it uses
 /// (QueueZone reads an index entry's priority, vesting time and item id
@@ -121,8 +128,9 @@ class TupleReader {
   Status Read(Element* out);
   /// Decodes the next element, which must be an int.
   Result<int64_t> ReadInt();
-  /// Decodes the next element, which must be a string.
-  Result<std::string> ReadString();
+  /// Decodes the next element, which must be a string, into `out`
+  /// (replacing its contents, reusing its buffer).
+  Status ReadString(std::string* out);
   /// Steps over the next element.
   Status Skip();
 

@@ -187,9 +187,9 @@ TEST_P(ChaosTest, InvariantsHoldUnderRandomInterleavings) {
         ck::QueueZone zone(&txn, zone_subspace, &clock);
         QUICK_ASSIGN_OR_RETURN(std::vector<rl::Record> all,
                                zone.store()->ScanRecords());
-        for (const rl::Record& rec : all) {
+        for (rl::Record& rec : all) {
           QUICK_ASSIGN_OR_RETURN(ck::QueuedItem item,
-                                 ck::QueuedItem::FromRecord(rec));
+                                 ck::QueuedItem::FromRecord(std::move(rec)));
           reachable.insert(item.id);
         }
         return Status::OK();

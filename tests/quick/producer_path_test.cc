@@ -11,7 +11,8 @@
 //      retry budget (Quick::kMoveRetryAttempts sleeps of
 //      kMoveRetryDelayMillis) and writes nothing; a dead letter stays
 //      quarantined. Local items have no fence; a continuation's fence fails
-//      its whole finish at once instead of being retried;
+//      its whole finish at once instead of being retried, and the consumer
+//      records the failure (a finish_failed span naming kTenantMoving);
 //  (c) a committed request adds its item count to ck.tenant.enqueued,
 //      records each item's birth span, and records kPointerCreated iff it
 //      made the tenant's Q_C pointer (local items have none).
@@ -381,10 +382,12 @@ Status CallRequeueClusterDeadLetter(ProducerPathTest& t, int tenant) {
 }
 
 /// A finish whose handler returns one continuation, driven by RunOnePass.
-/// The consumer does not report a failed finish, so the call reports
-/// whether the finishing item completed. A sealed zone cannot be dequeued:
-/// when the tenant starts sealed, the fence is lifted for the dequeue and
-/// raised again by the handler, before the finish.
+/// RunOnePass does not return the finish's status, so the call returns OK
+/// when the finishing item completed and otherwise what the consumer
+/// recorded of the failure: its finish_failed spans' details, one per
+/// failed finish it counted. A sealed zone cannot be dequeued: when the
+/// tenant starts sealed, the fence is lifted for the dequeue and raised
+/// again by the handler, before the finish.
 Status CallContinuation(ProducerPathTest& t, int tenant) {
   const bool sealed = t.LiftSeal(tenant);
   const std::string finishing = t.PlantFinishingItem(tenant);
@@ -404,11 +407,15 @@ Status CallContinuation(ProducerPathTest& t, int tenant) {
   config.dequeue_max = 8;  // the previous call's continuation comes first
   Consumer consumer(t.quick_, {"c1"}, &t.registry_, config, "consumer");
   QUICK_RETURN_IF_ERROR(consumer.RunOnePass("c1").status());
-  if (t.SpansNamed(finishing, stage::kCompleted) != 1) {
-    return Status::FailedPrecondition("the finish of " + finishing +
-                                      " did not commit");
+  if (t.SpansNamed(finishing, stage::kCompleted) == 1) return Status::OK();
+  std::string recorded;
+  for (const Span& span : t.tracer_.TraceOf(finishing)) {
+    if (span.name == stage::kFinishFailed) recorded += span.detail + "; ";
   }
-  return Status::OK();
+  EXPECT_EQ(consumer.stats().finishes_failed.Value(),
+            t.SpansNamed(finishing, stage::kFinishFailed));
+  return Status::FailedPrecondition("the finish of " + finishing +
+                                    " did not commit: " + recorded);
 }
 
 const EntryPoint kEntryPoints[] = {
@@ -475,9 +482,13 @@ TEST_P(ProducerPathTest, SealedTenantRetriesTheFenceThenWritesNothing) {
     return;
   }
   if (row.in_finish) {
-    // The fence fails the whole finish at once; the finishing item's
-    // lease then runs out and a consumer at the new home re-executes it.
-    EXPECT_FALSE(st.ok()) << st;
+    // The fence fails the whole finish at once, and the consumer records
+    // why: a finish_failed span naming the step and kTenantMoving. The
+    // finishing item's lease then runs out and a consumer at the new home
+    // re-executes it.
+    const std::string why =
+        "complete: " + std::string(StatusCodeName(StatusCode::kTenantMoving));
+    EXPECT_NE(st.message().find(why), std::string::npos) << st;
     EXPECT_EQ(Elapsed(), t0);
   } else {
     EXPECT_TRUE(st.IsTenantMoving()) << st;

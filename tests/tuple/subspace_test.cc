@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace quick::tup {
 namespace {
 
@@ -38,6 +40,20 @@ TEST(SubspaceTest, NestedSub) {
   auto back = zone.Unpack(key);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->GetString(0).value(), "rec");
+}
+
+TEST(SubspaceTest, SubEncodesLikeATupleChild) {
+  const Subspace root(Tuple().AddString("zone"));
+  for (const std::string& s :
+       {std::string(), std::string("r"), std::string("a\x00" "b", 3),
+        std::string("\xff")}) {
+    EXPECT_EQ(root.Sub(s).prefix(), root.Sub(Tuple().AddString(s)).prefix());
+  }
+  for (int64_t v : {int64_t{0}, int64_t{-1}, int64_t{255},
+                    std::numeric_limits<int64_t>::min(),
+                    std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(root.Sub(v).prefix(), root.Sub(Tuple().AddInt(v)).prefix());
+  }
 }
 
 TEST(SubspaceTest, RangeCoversOnlyOwnKeys) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <memory>
 
 namespace quick::tup {
 namespace {
@@ -231,13 +233,16 @@ TEST(TupleTest, ReaderDecodesOneElementAtATime) {
       .AddString("id");
   const std::string encoded = t.Encode();  // the reader only views it
   TupleReader reader(encoded);
+  std::string s;
   EXPECT_EQ(reader.ReadInt().value(), -3);
-  EXPECT_EQ(reader.ReadString().value(), std::string("a\0b", 3));
+  ASSERT_TRUE(reader.ReadString(&s).ok());
+  EXPECT_EQ(s, std::string("a\0b", 3));
   // Typed reads reject other types without consuming the element.
-  EXPECT_FALSE(reader.ReadString().ok());
+  EXPECT_FALSE(reader.ReadString(&s).ok());
   EXPECT_FALSE(reader.ReadInt().ok());
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(reader.Skip().ok());
-  EXPECT_EQ(reader.ReadString().value(), "id");
+  ASSERT_TRUE(reader.ReadString(&s).ok());
+  EXPECT_EQ(s, "id");
   EXPECT_TRUE(reader.done());
   EXPECT_FALSE(reader.Skip().ok());
 }
@@ -250,6 +255,82 @@ TEST(TupleTest, ReaderRejectsTruncatedInput) {
   TupleReader int_cut(bytes.substr(0, bytes.size() - 1));
   ASSERT_TRUE(int_cut.Skip().ok());
   EXPECT_FALSE(int_cut.ReadInt().ok());
+}
+
+/// Strings around the decoder's run copies: empty, zero and 0xFF bytes at
+/// either end, runs of zeros, and a zero followed by a literal 0xFF.
+const std::string kEscapeCases[] = {
+    "",
+    std::string("\x00", 1),
+    std::string("\x00\x00", 2),
+    std::string("a\x00", 2),
+    std::string("\x00" "a", 2),
+    "\xff",
+    std::string("\x00\xff", 2),
+    std::string("\xff\x00", 2),
+    std::string("a\x00\x00" "b\xff\x00", 6),
+    "plain run with no zero bytes",
+};
+
+TEST(TupleTest, AppendWritesWhatEncodeWrites) {
+  Tuple t;
+  t.AddNull()
+      .AddInt(std::numeric_limits<int64_t>::min())
+      .AddDouble(-0.0)
+      .AddBool(true)
+      .AddTuple(Tuple().AddNull().AddString(std::string("\x00", 1)));
+  for (const std::string& s : kEscapeCases) t.AddString(s).AddBytes(s);
+  std::string appended = "prefix";
+  for (const Element& e : t.elements()) AppendElement(e, &appended);
+  EXPECT_EQ(appended, "prefix" + t.Encode());
+  for (const std::string& s : kEscapeCases) {
+    std::string out;
+    AppendString(s, &out);
+    EXPECT_EQ(out, Tuple().AddString(s).Encode());
+  }
+}
+
+TEST(TupleTest, ReaderCopiesRunsAcrossEscapedZeros) {
+  for (const std::string& s : kEscapeCases) {
+    const std::string encoded =
+        Tuple().AddString(s).AddBytes(s).AddInt(7).Encode();
+    TupleReader reader(encoded);
+    std::string out = "stale contents are replaced";
+    ASSERT_TRUE(reader.ReadString(&out).ok());
+    EXPECT_EQ(out, s);
+    Element bytes;
+    ASSERT_TRUE(reader.Read(&bytes).ok());
+    EXPECT_EQ(std::get<Bytes>(bytes).data, s);
+    EXPECT_EQ(reader.ReadInt().value(), 7);
+    EXPECT_TRUE(reader.done());
+
+    TupleReader skipper(encoded);
+    ASSERT_TRUE(skipper.Skip().ok());
+    ASSERT_TRUE(skipper.Skip().ok());
+    EXPECT_EQ(skipper.ReadInt().value(), 7);
+  }
+}
+
+// A strict prefix of an encoding cut inside an escaped string fails, or
+// (cut just after a zero byte) decodes to a shorter tuple that re-encodes
+// to the prefix; the reader never reads past the cut (each prefix is a
+// heap buffer of exactly its size).
+TEST(TupleTest, EveryStrictPrefixDecodesToAnErrorOrItsOwnElements) {
+  Tuple t;
+  for (const std::string& s : kEscapeCases) t.AddString(s).AddBytes(s);
+  const std::string encoded = t.Encode();
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    std::unique_ptr<char[]> buffer(new char[len]);
+    std::copy(encoded.begin(), encoded.begin() + len, buffer.get());
+    const std::string_view prefix(buffer.get(), len);
+    auto decoded = Tuple::Decode(prefix);
+    if (decoded.ok()) {
+      EXPECT_EQ(decoded->Encode(), prefix) << "prefix of " << len;
+    }
+    TupleReader reader(prefix);
+    while (!reader.done() && reader.Skip().ok()) {
+    }
+  }
 }
 
 }  // namespace
