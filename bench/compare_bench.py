@@ -14,9 +14,12 @@ Two kinds of checks:
        its storage scans visit no more version chains after 8,000
        completions than after 1,000; the prune that retires 1,000 churn
        commits visits no more chains beside 65,536 untouched live keys
-       than beside 1,000; and decoding a 32-field record makes at most
+       than beside 1,000; decoding a 32-field record makes at most
        twice the heap allocations of decoding a 2-field one
-       (BM_RecordDecode) (counts, so host speed cannot move them).
+       (BM_RecordDecode); and the interval resolver's commit-and-prune of
+       one 48-byte-key conflict range makes at most 4/3 the heap
+       allocations of an 8-byte-key one (BM_ResolverRangeAllocs) (counts,
+       so host speed cannot move them).
      - fig7_contention: end-to-end throughput at the CI shape
        (selection_frac 0.05) improves with group commit on vs off.
      - admission_noisy_neighbor: admission control halves (>= 2x) the
@@ -154,6 +157,14 @@ def ratio_invariants(current):
         check_ratio(current["micro_substrates"], "micro_substrates",
                     "BM_RecordDecode/2", "BM_RecordDecode/32",
                     "allocs_per_decode", 0.5)
+        # Operands swapped likewise: the heap allocations the resolver makes
+        # adding and retiring a range of 8-byte keys, over those for 48-byte
+        # keys, is >= 0.75 exactly when the longer keys cost at most 4/3 the
+        # allocations: the keys are moved into their node, not copied
+        # (DESIGN.md §4c, "Resolver").
+        check_ratio(current["micro_substrates"], "micro_substrates",
+                    "BM_ResolverRangeAllocs/8", "BM_ResolverRangeAllocs/48",
+                    "allocs_per_range", 0.75)
     if "fig7_contention" in current:
         check_ratio(current["fig7_contention"], "fig7_contention",
                     "BM_Fig7_SelectionFrac/500/group",

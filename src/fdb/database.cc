@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #include "common/file_io.h"
@@ -544,12 +545,13 @@ void Database::ProcessBatchLocked(const std::vector<PendingCommit*>& batch) {
   // Write ranges of members already accepted in this batch: a later
   // arrival whose reads overlap them must conflict (its read version
   // necessarily predates the shared batch version). Only members ahead of
-  // the last one with reads add theirs; a batch of one builds nothing.
+  // the last one with reads add theirs, and the set is built only then: a
+  // batch of one, or one with no later reader, allocates nothing for it.
   size_t last_reader = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     if (!batch[i]->request.read_conflicts.empty()) last_reader = i;
   }
-  IntervalResolver batch_writes;
+  std::optional<IntervalResolver> batch_writes;
   std::vector<KeyRange> combined_writes;
   uint16_t order = 0;
 
@@ -566,7 +568,8 @@ void Database::ProcessBatchLocked(const std::vector<PendingCommit*>& batch) {
         continue;
       }
       if (resolver_->HasConflict(req.read_conflicts, req.read_version) ||
-          batch_writes.HasConflict(req.read_conflicts, req.read_version)) {
+          (batch_writes.has_value() &&
+           batch_writes->HasConflict(req.read_conflicts, req.read_version))) {
         stats_.conflicts.Increment();
         resolver_conflicts_counter_->Increment();
         pc->status = Status::NotCommitted();
@@ -581,11 +584,18 @@ void Database::ProcessBatchLocked(const std::vector<PendingCommit*>& batch) {
 
     store_.Apply(req.mutations, version, order);
     if (!req.write_conflicts.empty()) {
-      if (i < last_reader) batch_writes.AddCommit(version, req.write_conflicts);
-      combined_writes.insert(
-          combined_writes.end(),
-          std::make_move_iterator(req.write_conflicts.begin()),
-          std::make_move_iterator(req.write_conflicts.end()));
+      if (i < last_reader) {
+        if (!batch_writes.has_value()) batch_writes.emplace();
+        batch_writes->AddCommit(version, req.write_conflicts);
+      }
+      if (combined_writes.empty()) {
+        combined_writes = std::move(req.write_conflicts);
+      } else {
+        combined_writes.insert(
+            combined_writes.end(),
+            std::make_move_iterator(req.write_conflicts.begin()),
+            std::make_move_iterator(req.write_conflicts.end()));
+      }
     }
     pc->outcome = CommitOutcome{version, order};
     ++order;

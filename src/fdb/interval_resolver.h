@@ -1,10 +1,9 @@
 #ifndef QUICK_FDB_INTERVAL_RESOLVER_H_
 #define QUICK_FDB_INTERVAL_RESOLVER_H_
 
+#include <deque>
 #include <map>
-#include <queue>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -23,20 +22,36 @@ namespace quick::fdb {
 /// commit's write range simply replaces whatever nodes it overlaps (their
 /// versions are always older), splitting boundary nodes as needed:
 ///
-///   AddCommit:   O(log n + nodes replaced), amortized — every replaced
-///                node was inserted once.
+///   AddCommit:   O(log n + nodes replaced), amortized — one map search per
+///                range; the range's keys are moved into its node, and a
+///                replaced node's surviving tail is re-keyed in place.
 ///   HasConflict: O(log n + nodes overlapping the read ranges), with an
 ///                early exit on the first node newer than the read version.
-///   Prune:       incremental via a lazy min-heap of (version, node start)
-///                entries — each heap entry is popped exactly once, so
-///                pruning is O(log n) amortized per inserted node rather
-///                than a full sweep.
+///   Prune:       incremental via a FIFO of retire slots, one pushed per
+///                node created. Commit versions only grow, so push order is
+///                version order; a slot holds its node's map iterator and a
+///                live flag that Insert clears when it erases the node, so
+///                pruning pops a prefix and erases through the iterators:
+///                O(1) amortized per node, with no key search.
+///
+/// A re-keyed tail keeps its node's slot and retires at its own version. A
+/// predecessor's split tail — [end, its end) of a node that straddles a
+/// whole new range — is a new node at the older version with a new slot at
+/// the splitting commit, so it retires once the floor passes that commit:
+/// at most one window later than its own version would, and never with a
+/// different verdict, since its version is at or below the floor by then.
 ///
 /// The linear-scan equivalent lives in conflict_tracker.h; both give
 /// identical verdicts for read versions >= the prune floor (differentially
 /// tested in tests/fdb/resolver_differential_test.cc).
+///
+/// Not copyable: nodes point into the resolver's own slot FIFO.
 class IntervalResolver : public Resolver {
  public:
+  IntervalResolver() = default;
+  IntervalResolver(const IntervalResolver&) = delete;
+  IntervalResolver& operator=(const IntervalResolver&) = delete;
+
   void AddCommit(Version version, std::vector<KeyRange> write_ranges) override;
 
   bool HasConflict(const std::vector<KeyRange>& read_ranges,
@@ -50,32 +65,36 @@ class IntervalResolver : public Resolver {
   size_t NodeCount() const { return nodes_.size(); }
 
  private:
+  struct Slot;
   struct Node {
     std::string end;  // half-open [map key, end)
     Version version;  // max commit version that wrote this interval
+    Slot* slot;       // this node's entry in retire_
+  };
+  using NodeMap = std::map<std::string, Node>;
+
+  /// One node's place in the prune order. `version` is the commit that
+  /// pushed it: the node's own version, or the splitting commit's for a
+  /// predecessor's split tail.
+  struct Slot {
+    Version version;
+    NodeMap::iterator node;
+    bool live;  // false once Insert erased the node
   };
 
   /// Inserts [begin, end) at `version`, splitting/replacing overlaps.
-  void Insert(const std::string& begin, const std::string& end,
-              Version version);
+  void Insert(std::string begin, std::string end, Version version);
+
+  /// Pushes `node`'s retire slot at commit `version`.
+  void Track(NodeMap::iterator node, Version version);
 
   /// Disjoint intervals keyed by start key, covering exactly the key space
   /// written within the retention window.
-  std::map<std::string, Node> nodes_;
+  NodeMap nodes_;
 
-  /// Lazy prune index: (version, start key) pushed on every node insert.
-  /// Entries whose node was since replaced or re-keyed are skipped at pop
-  /// time (the version recorded in the node disambiguates).
-  using HeapEntry = std::pair<Version, std::string>;
-  /// Min-heap order on the version alone: one commit's entries share a
-  /// version, and ordering them by key would only cost string compares.
-  struct LaterVersion {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      return a.first > b.first;
-    }
-  };
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, LaterVersion>
-      prune_heap_;
+  /// Retire slots in push (= version) order. A deque never moves its
+  /// elements on push_back/pop_front, so Node::slot stays valid.
+  std::deque<Slot> retire_;
 
   Version min_checkable_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <utility>
 
 #include "common/backoff.h"
 #include "common/random.h"
@@ -407,6 +408,12 @@ void Transaction::AddWriteConflictKey(const std::string& key) {
 
 Result<bool> Transaction::BuildCommitRequest(CommitRequest* out) {
   QUICK_RETURN_IF_ERROR(CheckUsable());
+  // A submitted request took the conflict lists with it: resubmitting
+  // would commit with none.
+  if (submitted_) {
+    return Status::FailedPrecondition(
+        "transaction already submitted; Reset it before committing again");
+  }
 
   // A transaction with nothing to write and nothing declared is a no-op
   // commit, as in FoundationDB: reads-only commits succeed locally.
@@ -429,10 +436,13 @@ Result<bool> Transaction::BuildCommitRequest(CommitRequest* out) {
     QUICK_RETURN_IF_ERROR(EnsureReadVersion().status());
   }
 
+  // The conflict lists move into the request: each conflict key is
+  // allocated once, here in the client, and moved on into its resolver node.
   CommitRequest& request = *out;
   request.read_version = read_version_;
-  request.read_conflicts = read_conflicts_;
-  request.write_conflicts = write_conflicts_;
+  request.read_conflicts = std::move(read_conflicts_);
+  request.write_conflicts = std::move(write_conflicts_);
+  submitted_ = true;
 
   // Range clears first so per-key mutations within the same commit version
   // supersede them.
@@ -554,6 +564,7 @@ void Transaction::Reset() {
   committed_version_ = kInvalidVersion;
   committed_batch_order_ = 0;
   committed_ = false;
+  submitted_ = false;
   start_millis_ = db_->clock()->NowMillis();
 }
 

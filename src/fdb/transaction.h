@@ -133,7 +133,9 @@ class Transaction {
   /// Submits the transaction. OK, or kNotCommitted on conflict,
   /// kTransactionTooOld / kTransactionTooLarge / kCommitUnknownResult /
   /// kUnavailable as applicable. After a failed Commit the transaction must
-  /// be Reset (normally via OnError) before reuse.
+  /// be Reset (normally via OnError) before reuse: the submitted request
+  /// took its conflict ranges, so committing again without a Reset fails
+  /// kFailedPrecondition.
   Status Commit();
 
   /// Non-blocking commit: builds the same request as Commit() and enqueues
@@ -142,8 +144,8 @@ class Transaction {
   /// the cluster's commit-pump thread — with OK or the same error codes
   /// Commit() returns; continuations that do real work should re-post onto
   /// an Executor. The transaction must outlive the future's completion.
-  /// Validation errors (too large, already committed) complete the future
-  /// immediately.
+  /// Validation errors (too large, already committed or submitted)
+  /// complete the future immediately.
   Future<Status> CommitAsync();
 
   /// Version assigned by a successful Commit; kInvalidVersion otherwise.
@@ -200,7 +202,9 @@ class Transaction {
 
   /// Shared by Commit and CommitAsync: validation plus mutation assembly.
   /// Returns false for a read-only no-op commit (the transaction is marked
-  /// committed and `out` is untouched); true when `out` must be submitted.
+  /// committed and `out` is untouched); true when `out` must be submitted,
+  /// with the conflict lists moved into it (the transaction is then marked
+  /// submitted until Reset).
   Result<bool> BuildCommitRequest(CommitRequest* out);
   /// Records a successful submission's versionstamp.
   void ApplyCommitOutcome(const CommitOutcome& outcome);
@@ -212,6 +216,7 @@ class Transaction {
   Version committed_version_ = kInvalidVersion;
   uint16_t committed_batch_order_ = 0;
   bool committed_ = false;
+  bool submitted_ = false;  // a request was built since the last Reset
 
   std::map<std::string, WriteEntry> writes_;
   std::vector<Mutation> versionstamped_;

@@ -82,6 +82,10 @@ void RunSchedule(uint64_t seed) {
       EXPECT_EQ(legacy.MinCheckableVersion(), interval.MinCheckableVersion());
     }
   }
+  // Every node has a live retire slot at or below the newest version, so
+  // pruning past it leaves nothing behind.
+  interval.Prune(next_version);
+  EXPECT_EQ(interval.NodeCount(), 0u);
 }
 
 TEST(ResolverDifferentialTest, IdenticalVerdictsAcrossSeeds) {
@@ -124,6 +128,39 @@ TEST(IntervalResolverTest, PruneDropsOnlyStaleNodes) {
   EXPECT_EQ(r.MinCheckableVersion(), 2);
   EXPECT_TRUE(r.HasConflict({KeyRange{"e", "f"}}, 2));
   EXPECT_FALSE(r.HasConflict({KeyRange{"e", "f"}}, 3));
+}
+
+TEST(IntervalResolverTest, RekeyedTailRetiresAtItsOwnVersion) {
+  IntervalResolver r;
+  r.AddCommit(1, {KeyRange{"b", "z"}});
+  // Supersedes [b, d): the version-1 node's tail is re-keyed to [d, z).
+  r.AddCommit(5, {KeyRange{"a", "d"}});
+  EXPECT_EQ(r.NodeCount(), 2u);
+  EXPECT_TRUE(r.HasConflict({KeyRange{"m", "n"}}, 0));
+  r.Prune(1);
+  EXPECT_EQ(r.NodeCount(), 1u);
+  EXPECT_FALSE(r.HasConflict({KeyRange{"d", "z"}}, 1));
+  EXPECT_TRUE(r.HasConflict({KeyRange{"b", "c"}}, 1));
+  r.Prune(5);
+  EXPECT_EQ(r.NodeCount(), 0u);
+}
+
+TEST(IntervalResolverTest, SplitTailRetiresAfterTheSplittingCommit) {
+  IntervalResolver r;
+  r.AddCommit(1, {KeyRange{"a", "z"}});
+  // Splits the version-1 node into [a, m) and a new tail [n, z).
+  r.AddCommit(5, {KeyRange{"m", "n"}});
+  EXPECT_EQ(r.NodeCount(), 3u);
+  r.Prune(1);
+  // The head retires with its own slot; the tail's slot is the splitting
+  // commit's, and its older version never conflicts at the floor.
+  EXPECT_EQ(r.NodeCount(), 2u);
+  EXPECT_FALSE(r.HasConflict({KeyRange{"p", "q"}}, 1));
+  EXPECT_TRUE(r.HasConflict({KeyRange{"m", "m\x01"}}, 1));
+  r.Prune(4);
+  EXPECT_EQ(r.NodeCount(), 2u);
+  r.Prune(5);
+  EXPECT_EQ(r.NodeCount(), 0u);
 }
 
 TEST(IntervalResolverTest, StaleHeapEntriesDoNotEraseNewerNodes) {

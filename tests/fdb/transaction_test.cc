@@ -4,6 +4,7 @@
 
 #include "common/clock.h"
 #include "fdb/database.h"
+#include "fdb/retry.h"
 
 namespace quick::fdb {
 namespace {
@@ -128,6 +129,44 @@ TEST_F(TransactionTest, CommittedTransactionRejectsFurtherUse) {
   ASSERT_TRUE(txn.Commit().ok());
   EXPECT_FALSE(txn.Get("k").ok());
   EXPECT_FALSE(txn.Commit().ok());
+}
+
+TEST_F(TransactionTest, SecondCommitWithoutResetIsRejected) {
+  Put("k", "v0");
+  Transaction t1 = db_->CreateTransaction();
+  ASSERT_TRUE(t1.Get("k").ok());
+  t1.Set("out", "1");
+  Put("k", "v1");
+  ASSERT_TRUE(t1.Commit().IsNotCommitted());
+  // The failed request took t1's conflict ranges with it: committing again
+  // would resend none, so both commit paths refuse until a reset.
+  EXPECT_EQ(t1.Commit().code(), StatusCode::kFailedPrecondition);
+  Future<Status> again = t1.CommitAsync();
+  EXPECT_EQ(again.Get().code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(ReadBack("out").has_value());
+
+  ASSERT_TRUE(t1.OnError(Status::NotCommitted()).ok());
+  ASSERT_TRUE(t1.Get("k").ok());
+  t1.Set("out", "2");
+  EXPECT_TRUE(t1.Commit().ok());
+  EXPECT_EQ(ReadBack("out").value(), "2");
+}
+
+TEST_F(TransactionTest, RunTransactionRetriesAfterAConflict) {
+  Put("k", "v0");
+  int attempts = 0;
+  Status st = RunTransaction(db_.get(), [&](Transaction& txn) -> Status {
+    ++attempts;
+    Result<std::optional<std::string>> read = txn.Get("k");
+    if (!read.ok()) return read.status();
+    // The first attempt's read is overwritten before it commits.
+    if (attempts == 1) Put("k", "v1");
+    txn.Set("out", read->value());
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok()) << st;
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(ReadBack("out").value(), "v1");
 }
 
 TEST_F(TransactionTest, ReadOnlyCommitIsNoOp) {
