@@ -26,7 +26,8 @@
 namespace {
 /// Heap allocations made by the current thread, counted by the replacement
 /// operator new below (BM_RecordDecode reports them per decode,
-/// BM_ResolverRangeAllocs per conflict range).
+/// BM_ResolverRangeAllocs per conflict range, BM_SaveRecordAllocs per save
+/// and per index entry written).
 thread_local int64_t t_allocations = 0;
 }  // namespace
 
@@ -275,6 +276,74 @@ void BM_RecordSave(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RecordSave);
+
+// A record type of a 32-character id and eight int fields with value
+// indexes over the first `indexes` of them.
+rl::RecordMetadata IndexedMetadata(int indexes) {
+  rl::RecordMetadata meta;
+  rl::RecordTypeDef t;
+  t.name = "Doc";
+  t.fields = {{"id", rl::FieldType::kString}};
+  for (int f = 0; f < 8; ++f) {
+    t.fields.push_back({"f" + std::to_string(f), rl::FieldType::kInt64});
+  }
+  t.primary_key_fields = {"id"};
+  (void)meta.AddRecordType(std::move(t));
+  for (int f = 0; f < indexes; ++f) {
+    rl::IndexDef idx;
+    idx.name = "by_f" + std::to_string(f);
+    idx.fields = {"f" + std::to_string(f)};
+    (void)meta.AddIndex(std::move(idx));
+  }
+  return meta;
+}
+
+// What building a record's keys allocates: one SaveRecord of a fresh record
+// (no previous image) whose type has 1 and then 8 value indexes, in a store
+// under a queue zone's prefix. Reports the heap allocations inside each
+// save and their slope, the allocations per index entry written: a count,
+// so bench-smoke can gate on any host that an entry costs its key and the
+// transaction's bookkeeping for it (write-buffer node and key, write
+// conflict), with no Tuple temporaries.
+void BM_SaveRecordAllocs(benchmark::State& state) {
+  static const rl::RecordMetadata* const kMetas[] = {
+      new rl::RecordMetadata(IndexedMetadata(1)),
+      new rl::RecordMetadata(IndexedMetadata(8))};
+  fdb::Database db("bench");
+  const tup::Subspace subspace(tup::Tuple()
+                                   .AddString("ck")
+                                   .AddString("app")
+                                   .AddString("user")
+                                   .AddInt(0)
+                                   .AddString("z")
+                                   .AddString("_queue"));
+  int64_t allocations[2] = {0, 0};
+  int64_t i = 0;
+  for (auto _ : state) {
+    char id[33];
+    std::snprintf(id, sizeof(id), "%032lld", static_cast<long long>(i++));
+    for (int shape = 0; shape < 2; ++shape) {
+      fdb::Transaction txn = db.CreateTransaction();
+      rl::RecordStore store(&txn, subspace, kMetas[shape]);
+      rl::Record r("Doc");
+      r.Reserve(9).SetString("id", id);
+      for (int f = 0; f < 8; ++f) r.SetInt("f" + std::to_string(f), i + f);
+      const int64_t before = t_allocations;
+      Status st = store.SaveRecord(r);
+      allocations[shape] += t_allocations - before;
+      benchmark::DoNotOptimize(st);
+    }
+  }
+  const double iterations = static_cast<double>(state.iterations());
+  const double per_save_1 = static_cast<double>(allocations[0]) / iterations;
+  const double per_save_8 = static_cast<double>(allocations[1]) / iterations;
+  state.counters["allocs_per_save_1"] = per_save_1;
+  state.counters["allocs_per_save_8"] = per_save_8;
+  state.counters["allocs_per_index_entry"] = (per_save_8 - per_save_1) / 7;
+  bench::BenchReportCollector::Global()->ReportRun("BM_SaveRecordAllocs",
+                                                   state);
+}
+BENCHMARK(BM_SaveRecordAllocs);
 
 void BM_QueueZoneEnqueue(benchmark::State& state) {
   fdb::Database db("bench");

@@ -16,10 +16,12 @@ Two kinds of checks:
        commits visits no more chains beside 65,536 untouched live keys
        than beside 1,000; decoding a 32-field record makes at most
        twice the heap allocations of decoding a 2-field one
-       (BM_RecordDecode); and the interval resolver's commit-and-prune of
+       (BM_RecordDecode); the interval resolver's commit-and-prune of
        one 48-byte-key conflict range makes at most 4/3 the heap
-       allocations of an 8-byte-key one (BM_ResolverRangeAllocs) (counts,
-       so host speed cannot move them).
+       allocations of an 8-byte-key one (BM_ResolverRangeAllocs); and a
+       RecordStore::SaveRecord makes at most 7 heap allocations per value
+       index entry it writes (BM_SaveRecordAllocs, the slope between 1 and
+       8 indexes) (counts, so host speed cannot move them).
      - fig7_contention: end-to-end throughput at the CI shape
        (selection_frac 0.05) improves with group commit on vs off.
      - admission_noisy_neighbor: admission control halves (>= 2x) the
@@ -118,6 +120,22 @@ def check_ratio(runs, bench, numer_substr, denom_substr, counter, min_ratio):
              f"(required {min_ratio}x)")
 
 
+def check_max(runs, bench, run_substr, counter, max_value):
+    """A count bound: the counter of one run must not exceed max_value."""
+    name, value = find_counter(runs, run_substr, counter)
+    if value is None:
+        fail(f"{bench}: missing run for bound check "
+             f"({run_substr!r} with {counter!r})")
+        return
+    ok = value <= max_value
+    summary_rows.append(("ratio", bench, f"{name} ({counter})",
+                         f"<= {max_value}", f"{value:.2f}", "", ok))
+    if not ok:
+        fail(f"{bench}: {name} {counter} {value:.2f} > allowed {max_value}")
+    else:
+        note(f"{bench}: {name} {counter}: {value:.2f} (allowed {max_value})")
+
+
 def ratio_invariants(current):
     if "micro_resolver" in current:
         check_ratio(current["micro_resolver"], "micro_resolver",
@@ -165,6 +183,13 @@ def ratio_invariants(current):
         check_ratio(current["micro_substrates"], "micro_substrates",
                     "BM_ResolverRangeAllocs/8", "BM_ResolverRangeAllocs/48",
                     "allocs_per_range", 0.75)
+        # The heap allocations a save makes per value-index entry it
+        # writes: the entry's key, the write buffer's node and key copy, the
+        # write conflict's keys and the conflict list's growth, about 6.4;
+        # keys built through Tuple temporaries cost about 14 (DESIGN.md
+        # §4c, "Key building").
+        check_max(current["micro_substrates"], "micro_substrates",
+                  "BM_SaveRecordAllocs", "allocs_per_index_entry", 7.0)
     if "fig7_contention" in current:
         check_ratio(current["fig7_contention"], "fig7_contention",
                     "BM_Fig7_SelectionFrac/500/group",
@@ -239,7 +264,7 @@ def write_step_summary(threshold):
     ratios = [r for r in summary_rows if r[0] == "ratio"]
     deltas = [r for r in summary_rows if r[0] == "baseline"]
     if ratios:
-        lines += ["### Ratio invariants", "",
+        lines += ["### Ratio and count invariants", "",
                   "| bench | ratio | required | measured | |",
                   "|---|---|---|---|---|"]
         for _, bench, subject, required, measured, _, ok in ratios:

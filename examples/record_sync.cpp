@@ -72,8 +72,9 @@ int main() {
       QUICK_RETURN_IF_ERROR(entries.status());
       fetched = 0;
       for (const rl::VersionIndexEntry& e : *entries) {
-        QUICK_ASSIGN_OR_RETURN(std::optional<rl::Record> rec,
-                               store.LoadByFullPrimaryKey(e.primary_key));
+        QUICK_ASSIGN_OR_RETURN(
+            std::optional<rl::Record> rec,
+            store.LoadByFullPrimaryKey(e.primary_key.Encode()));
         if (!rec.has_value()) continue;
         const bool deleted = (*rec).GetBool("deleted").value_or(false);
         std::printf("  [%s] %s \"%s\"%s\n", device,

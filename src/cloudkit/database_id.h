@@ -37,12 +37,17 @@ struct DatabaseId {
     return {"_quick", std::move(cluster_name), DatabaseKind::kCluster};
   }
 
-  tup::Tuple ToTuple() const {
-    return tup::Tuple()
-        .AddString(app)
-        .AddString(user)
-        .AddInt(static_cast<int64_t>(kind));
+  /// Appends the tuple encoding of (app, user, kind) to `out`: the
+  /// database's part of its keyspace prefix.
+  void AppendTo(std::string* out) const {
+    tup::AppendString(app, out);
+    tup::AppendString(user, out);
+    tup::AppendElement(tup::Element(static_cast<int64_t>(kind)), out);
   }
+
+  /// Room for what AppendTo appends, escapes aside: two bytes around each
+  /// string, at most two for the kind.
+  size_t EncodedSize() const { return app.size() + user.size() + 6; }
 
   /// Canonical string form; used as the pointer-index key component.
   std::string ToKeyString() const {

@@ -35,10 +35,16 @@ struct MoveState {
 
   bool FencesEnqueues() const { return phase >= kSealed; }
 
-  /// Fence key for `id` — same bytes on every cluster, but the record only
-  /// ever exists on the move's source cluster.
+  /// Fence key for `id`, ("ckmv", app, user, kind) — same bytes on every
+  /// cluster, but the record only ever exists on the move's source
+  /// cluster.
   static std::string Key(const DatabaseId& id) {
-    return tup::Subspace(tup::Tuple().AddString("ckmv")).Pack(id.ToTuple());
+    static constexpr tup::StringTag kMovesTag{"ckmv"};
+    std::string key;
+    key.reserve(kMovesTag.size() + id.EncodedSize());
+    key.append(kMovesTag);
+    id.AppendTo(&key);
+    return key;
   }
 
   /// The migration fence: one strong (conflict-registering) read of

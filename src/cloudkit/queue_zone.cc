@@ -52,9 +52,18 @@ Result<std::string> ReadItemId(tup::TupleReader& reader) {
 /// Entry bytes just past every entry of priority group `priority`: tuple
 /// continuations sort below 0xFF.
 std::string PastGroup(int64_t priority) {
-  std::string bytes = tup::Tuple().AddInt(priority).Encode();
+  std::string bytes;
+  tup::AppendElement(tup::Element(priority), &bytes);  // at most 9 bytes
   bytes.push_back('\xFF');
   return bytes;
+}
+
+/// An item id as the encoded primary-key fields RecordStore takes.
+std::string EncodedId(std::string_view item_id) {
+  std::string pk;
+  pk.reserve(item_id.size() + 2);
+  tup::AppendString(item_id, &pk);
+  return pk;
 }
 
 /// Ids of up to `max_items` (0 = all) items vested at `now`, in (priority,
@@ -267,6 +276,21 @@ rl::RecordStore& QueueZone::DeadLetterStore() {
   return *dl_store_;
 }
 
+std::string QueueZone::DbKeyIndexEntryKey(std::string_view db_key,
+                                          std::string_view item_id) const {
+  // The entry is (db_key, (record type, item id)).
+  const std::string_view type = QueuedItem::kRecordType;
+  std::string values_and_pk;
+  values_and_pk.reserve(db_key.size() + type.size() + item_id.size() + 6);
+  tup::AppendString(db_key, &values_and_pk);
+  const size_t pk_begin = values_and_pk.size();
+  tup::AppendString(type, &values_and_pk);
+  tup::AppendString(item_id, &values_and_pk);
+  const std::string_view entry = values_and_pk;
+  return store_.ValueIndexEntryKey(kDbKeyIndex, entry.substr(0, pk_begin),
+                                   entry.substr(pk_begin));
+}
+
 Result<std::string> QueueZone::Enqueue(QueuedItem item,
                                        int64_t vesting_delay_millis) {
   if (item.id.empty()) {
@@ -295,8 +319,8 @@ Result<std::optional<QueuedItem>> QueueZone::LoadItem(
     const std::string& item_id, bool snapshot) {
   QUICK_ASSIGN_OR_RETURN(
       std::optional<rl::Record> rec,
-      store_.LoadRecord(QueuedItem::kRecordType,
-                        tup::Tuple().AddString(item_id), snapshot));
+      store_.LoadRecord(QueuedItem::kRecordType, EncodedId(item_id),
+                        snapshot));
   if (!rec.has_value()) return std::optional<QueuedItem>(std::nullopt);
   QUICK_ASSIGN_OR_RETURN(QueuedItem item,
                          QueuedItem::FromRecord(*std::move(rec)));
@@ -373,8 +397,7 @@ Status QueueZone::Complete(const std::string& item_id,
   }
   QUICK_ASSIGN_OR_RETURN(
       bool deleted,
-      store_.DeleteRecord(QueuedItem::kRecordType,
-                          tup::Tuple().AddString(item_id)));
+      store_.DeleteRecord(QueuedItem::kRecordType, EncodedId(item_id)));
   if (!deleted) return Status::NotFound("queued item " + item_id);
   static Counter* counter = ZoneCounter("ck.zone.completes");
   counter->Increment();
@@ -419,8 +442,7 @@ Status QueueZone::Quarantine(const std::string& item_id,
   }
   QUICK_ASSIGN_OR_RETURN(
       bool deleted,
-      store_.DeleteRecord(QueuedItem::kRecordType,
-                          tup::Tuple().AddString(item_id)));
+      store_.DeleteRecord(QueuedItem::kRecordType, EncodedId(item_id)));
   if (!deleted) return Status::NotFound("queued item " + item_id);
   DeadLetterItem dl;
   dl.id = item.id;
@@ -451,8 +473,7 @@ Result<std::vector<DeadLetterItem>> QueueZone::ListDeadLetters(int max_items) {
       QUICK_ASSIGN_OR_RETURN(
           std::optional<rl::Record> rec,
           DeadLetterStore().LoadRecord(DeadLetterItem::kRecordType,
-                                       tup::Tuple().AddString(id),
-                                       /*snapshot=*/true));
+                                       EncodedId(id), /*snapshot=*/true));
       if (!rec.has_value()) continue;  // raced with a purge; snapshot scan
       QUICK_ASSIGN_OR_RETURN(DeadLetterItem item,
                              DeadLetterItem::FromRecord(*std::move(rec)));
@@ -467,7 +488,7 @@ Result<std::optional<DeadLetterItem>> QueueZone::LoadDeadLetter(
   QUICK_ASSIGN_OR_RETURN(
       std::optional<rl::Record> rec,
       DeadLetterStore().LoadRecord(DeadLetterItem::kRecordType,
-                                   tup::Tuple().AddString(item_id)));
+                                   EncodedId(item_id)));
   if (!rec.has_value()) return std::optional<DeadLetterItem>(std::nullopt);
   QUICK_ASSIGN_OR_RETURN(DeadLetterItem item,
                          DeadLetterItem::FromRecord(*std::move(rec)));
@@ -483,7 +504,7 @@ Result<DeadLetterItem> QueueZone::TakeDeadLetter(const std::string& item_id) {
   QUICK_ASSIGN_OR_RETURN(
       bool deleted,
       DeadLetterStore().DeleteRecord(DeadLetterItem::kRecordType,
-                                     tup::Tuple().AddString(item_id)));
+                                     EncodedId(item_id)));
   if (!deleted) return Status::NotFound("dead-lettered item " + item_id);
   return *std::move(item);
 }
@@ -492,7 +513,7 @@ Status QueueZone::PurgeDeadLetter(const std::string& item_id) {
   QUICK_ASSIGN_OR_RETURN(
       bool deleted,
       DeadLetterStore().DeleteRecord(DeadLetterItem::kRecordType,
-                                     tup::Tuple().AddString(item_id)));
+                                     EncodedId(item_id)));
   return deleted ? Status::OK()
                  : Status::NotFound("dead-lettered item " + item_id);
 }
@@ -599,9 +620,8 @@ Result<std::vector<LeasedItem>> QueueZone::DequeueFifo(
 
 Result<std::optional<std::string>> QueueZone::ArrivalStamp(
     const std::string& item_id) {
-  return store_.GetRecordVersion(
-      kArrivalIndex, QueuedItem::kRecordType,
-      tup::Tuple().AddString(item_id));
+  return store_.GetRecordVersion(kArrivalIndex, QueuedItem::kRecordType,
+                                 EncodedId(item_id));
 }
 
 }  // namespace quick::ck

@@ -182,12 +182,8 @@ class QueueZone {
 
   /// Exact key of the db_key-index entry for an item — the "pointer index"
   /// key QuiCK's enqueue reads (and declares write conflicts on, §6.1).
-  std::string DbKeyIndexEntryKey(const std::string& db_key,
-                                 const std::string& item_id) {
-    return store_.ValueIndexEntryKey(
-        kDbKeyIndex, tup::Tuple().AddString(db_key),
-        tup::Tuple().AddString(QueuedItem::kRecordType).AddString(item_id));
-  }
+  std::string DbKeyIndexEntryKey(std::string_view db_key,
+                                 std::string_view item_id) const;
 
   /// Low-level save preserving every field as given (QuiCK's pointer
   /// maintenance: vesting/lease/last_active updates in one write).

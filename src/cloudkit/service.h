@@ -81,27 +81,52 @@ class CloudKitService {
   Clock* clock() const { return clock_; }
 
   /// Keyspace prefix of a logical database (identical on every cluster, so
-  /// moves are prefix-preserving copies).
+  /// moves are prefix-preserving copies): ("ck", app, user, kind).
   static tup::Subspace DatabaseSubspace(const DatabaseId& id) {
-    return tup::Subspace(tup::Tuple().AddString("ck")).Sub(id.ToTuple());
+    return tup::Subspace(DatabasePrefix(id, 0));
   }
 
   /// Keyspace of zone `zone_name` within `id`'s database. It depends on
   /// the database alone, never on placement, so a stale pointer at a
   /// migration source resolves to the same (by then empty) keys.
   static tup::Subspace ZoneSubspace(const DatabaseId& id,
-                                    const std::string& zone_name) {
-    return ZoneSubspace(DatabaseSubspace(id), zone_name);
+                                    std::string_view zone_name) {
+    std::string prefix =
+        DatabasePrefix(id, kZoneTag.size() + zone_name.size() + 2);
+    AppendZone(zone_name, &prefix);
+    return tup::Subspace(std::move(prefix));
   }
 
-  /// The same below an already derived DatabaseSubspace(id): the one
-  /// place the zone layout is written down.
+  /// The same below an already derived DatabaseSubspace(id).
   static tup::Subspace ZoneSubspace(const tup::Subspace& database,
-                                    const std::string& zone_name) {
-    return database.Sub("z").Sub(zone_name);
+                                    std::string_view zone_name) {
+    const std::string& db_prefix = database.prefix();
+    std::string prefix;
+    prefix.reserve(db_prefix.size() + kZoneTag.size() + zone_name.size() + 2);
+    prefix.append(db_prefix);
+    AppendZone(zone_name, &prefix);
+    return tup::Subspace(std::move(prefix));
   }
 
  private:
+  static constexpr tup::StringTag kDatabasesTag{"ck"};
+  static constexpr tup::StringTag kZoneTag{"z"};
+
+  /// DatabaseSubspace(id)'s prefix, with room for `extra` more bytes.
+  static std::string DatabasePrefix(const DatabaseId& id, size_t extra) {
+    std::string prefix;
+    prefix.reserve(kDatabasesTag.size() + id.EncodedSize() + extra);
+    prefix.append(kDatabasesTag);
+    id.AppendTo(&prefix);
+    return prefix;
+  }
+  /// Appends a zone's part of its prefix, ("z", zone_name): the one place
+  /// the zone layout is written down.
+  static void AppendZone(std::string_view zone_name, std::string* prefix) {
+    prefix->append(kZoneTag);
+    tup::AppendString(zone_name, prefix);
+  }
+
   fdb::ClusterSet* clusters_;
   Clock* clock_;
   PlacementDirectory placement_;

@@ -53,7 +53,7 @@ Result<std::optional<ZoneType>> ZoneCatalog::GetZoneType(
   QUICK_ASSIGN_OR_RETURN(
       std::optional<rl::Record> rec,
       store_.LoadRecord(kZoneDescriptorType,
-                        tup::Tuple().AddString(zone_name)));
+                        tup::Tuple().AddString(zone_name).Encode()));
   if (!rec.has_value()) return std::optional<ZoneType>(std::nullopt);
   QUICK_ASSIGN_OR_RETURN(int64_t type, rec->GetInt("type"));
   if (type < 0 || type > 2) {
@@ -95,7 +95,8 @@ Status ZoneCatalog::DeleteZone(const std::string& zone_name) {
   }
   QUICK_RETURN_IF_ERROR(
       store_
-          .DeleteRecord(kZoneDescriptorType, tup::Tuple().AddString(zone_name))
+          .DeleteRecord(kZoneDescriptorType,
+                        tup::Tuple().AddString(zone_name).Encode())
           .status());
   txn_->ClearRange(db_.ZoneSubspace(zone_name).Range());
   return Status::OK();

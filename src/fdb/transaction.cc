@@ -20,6 +20,13 @@ Status Transaction::CheckUsable() {
   if (committed_) {
     return Status::FailedPrecondition("transaction already committed");
   }
+  // A submitted request took the write buffer and the conflict lists with
+  // it: a read could not see this transaction's own writes, and a second
+  // commit would resend nothing.
+  if (submitted_) {
+    return Status::FailedPrecondition(
+        "transaction already submitted; Reset it before reusing it");
+  }
   if (db_->clock()->NowMillis() - start_millis_ >
       db_->options().transaction_timeout_millis) {
     return Status::TransactionTooOld("transaction exceeded its lifetime");
@@ -408,12 +415,6 @@ void Transaction::AddWriteConflictKey(const std::string& key) {
 
 Result<bool> Transaction::BuildCommitRequest(CommitRequest* out) {
   QUICK_RETURN_IF_ERROR(CheckUsable());
-  // A submitted request took the conflict lists with it: resubmitting
-  // would commit with none.
-  if (submitted_) {
-    return Status::FailedPrecondition(
-        "transaction already submitted; Reset it before committing again");
-  }
 
   // A transaction with nothing to write and nothing declared is a no-op
   // commit, as in FoundationDB: reads-only commits succeed locally.
@@ -436,53 +437,64 @@ Result<bool> Transaction::BuildCommitRequest(CommitRequest* out) {
     QUICK_RETURN_IF_ERROR(EnsureReadVersion().status());
   }
 
-  // The conflict lists move into the request: each conflict key is
-  // allocated once, here in the client, and moved on into its resolver node.
+  // Everything buffered moves into the request: each conflict key, and
+  // each mutation's key and value, is allocated once, here in the client,
+  // and moved on towards the resolver and the store.
   CommitRequest& request = *out;
   request.read_version = read_version_;
   request.read_conflicts = std::move(read_conflicts_);
   request.write_conflicts = std::move(write_conflicts_);
   submitted_ = true;
 
+  size_t mutations = cleared_ranges_.size() + versionstamped_.size();
+  for (const auto& [key, e] : writes_) {
+    mutations +=
+        e.kind == WriteEntry::Kind::kAtomicChain ? e.atomics.size() : 1;
+  }
+  request.mutations.reserve(mutations);
   // Range clears first so per-key mutations within the same commit version
   // supersede them.
-  for (const KeyRange& r : cleared_ranges_) {
+  for (KeyRange& r : cleared_ranges_) {
     Mutation m;
     m.type = Mutation::Type::kClearRange;
-    m.key = r.begin;
-    m.end_key = r.end;
+    m.key = std::move(r.begin);
+    m.end_key = std::move(r.end);
     request.mutations.push_back(std::move(m));
   }
-  for (const Mutation& m : versionstamped_) {
-    request.mutations.push_back(m);
+  for (Mutation& m : versionstamped_) {
+    request.mutations.push_back(std::move(m));
   }
-  for (const auto& [key, e] : writes_) {
+  while (!writes_.empty()) {
+    auto node = writes_.extract(writes_.begin());
+    WriteEntry& e = node.mapped();
     switch (e.kind) {
       case WriteEntry::Kind::kSet: {
         Mutation m;
         m.type = Mutation::Type::kSet;
-        m.key = key;
-        m.value = e.set_value;
+        m.key = std::move(node.key());
+        m.value = std::move(e.set_value);
         request.mutations.push_back(std::move(m));
         break;
       }
       case WriteEntry::Kind::kClear: {
         Mutation m;
         m.type = Mutation::Type::kClear;
-        m.key = key;
+        m.key = std::move(node.key());
         request.mutations.push_back(std::move(m));
         break;
       }
       case WriteEntry::Kind::kAtomicChain: {
-        bool first = true;
-        for (const auto& [op, operand] : e.atomics) {
+        for (size_t i = 0; i < e.atomics.size(); ++i) {
           Mutation m;
           m.type = Mutation::Type::kAtomic;
-          m.key = key;
-          m.op = op;
-          m.value = operand;
-          m.base_cleared = e.base_cleared && first;
-          first = false;
+          if (i + 1 < e.atomics.size()) {
+            m.key = node.key();
+          } else {
+            m.key = std::move(node.key());  // the chain's last op takes it
+          }
+          m.op = e.atomics[i].first;
+          m.value = std::move(e.atomics[i].second);
+          m.base_cleared = e.base_cleared && i == 0;
           request.mutations.push_back(std::move(m));
         }
         break;

@@ -134,8 +134,9 @@ class Transaction {
   /// kTransactionTooOld / kTransactionTooLarge / kCommitUnknownResult /
   /// kUnavailable as applicable. After a failed Commit the transaction must
   /// be Reset (normally via OnError) before reuse: the submitted request
-  /// took its conflict ranges, so committing again without a Reset fails
-  /// kFailedPrecondition.
+  /// took its write buffer and conflict ranges, so until a Reset, reads
+  /// (Get, ScanRange, GetKey, GetReadVersion and the calls built on them)
+  /// and a second commit fail kFailedPrecondition.
   Status Commit();
 
   /// Non-blocking commit: builds the same request as Commit() and enqueues
@@ -203,8 +204,8 @@ class Transaction {
   /// Shared by Commit and CommitAsync: validation plus mutation assembly.
   /// Returns false for a read-only no-op commit (the transaction is marked
   /// committed and `out` is untouched); true when `out` must be submitted,
-  /// with the conflict lists moved into it (the transaction is then marked
-  /// submitted until Reset).
+  /// with the conflict lists and the buffered writes moved into it (the
+  /// transaction is then marked submitted until Reset).
   Result<bool> BuildCommitRequest(CommitRequest* out);
   /// Records a successful submission's versionstamp.
   void ApplyCommitOutcome(const CommitOutcome& outcome);

@@ -10,12 +10,10 @@ ck::QueuedItem Pointer::ToItem() const {
   item.id = Key();
   item.job_type = ck::kPointerJobType;
   item.db_key = Key();
-  item.payload = tup::Tuple()
-                     .AddString(db_id.app)
-                     .AddString(db_id.user)
-                     .AddInt(static_cast<int64_t>(db_id.kind))
-                     .AddString(zone)
-                     .Encode();
+  // The payload is the tuple (app, user, kind, zone).
+  item.payload.reserve(db_id.EncodedSize() + zone.size() + 2);
+  db_id.AppendTo(&item.payload);
+  tup::AppendString(zone, &item.payload);
   return item;
 }
 
@@ -23,15 +21,15 @@ Result<Pointer> Pointer::FromItem(const ck::QueuedItem& item) {
   if (item.job_type != ck::kPointerJobType) {
     return Status::InvalidArgument("item is not a pointer");
   }
-  QUICK_ASSIGN_OR_RETURN(tup::Tuple t, tup::Tuple::Decode(item.payload));
-  if (t.size() != 4) return Status::InvalidArgument("malformed pointer");
+  tup::TupleReader reader(item.payload);
   Pointer p;
-  QUICK_ASSIGN_OR_RETURN(p.db_id.app, t.GetString(0));
-  QUICK_ASSIGN_OR_RETURN(p.db_id.user, t.GetString(1));
-  QUICK_ASSIGN_OR_RETURN(int64_t kind, t.GetInt(2));
+  QUICK_RETURN_IF_ERROR(reader.ReadString(&p.db_id.app));
+  QUICK_RETURN_IF_ERROR(reader.ReadString(&p.db_id.user));
+  QUICK_ASSIGN_OR_RETURN(int64_t kind, reader.ReadInt());
   if (kind < 0 || kind > 2) return Status::InvalidArgument("bad kind");
   p.db_id.kind = static_cast<ck::DatabaseKind>(kind);
-  QUICK_ASSIGN_OR_RETURN(p.zone, t.GetString(3));
+  QUICK_RETURN_IF_ERROR(reader.ReadString(&p.zone));
+  if (!reader.done()) return Status::InvalidArgument("malformed pointer");
   return p;
 }
 

@@ -113,11 +113,12 @@ Status OnlineIndexBuilder::Build() {
 Result<IndexState> OnlineIndexBuilder::GetIndexState(
     fdb::Transaction* txn, const tup::Subspace& store_subspace,
     const std::string& index_name) {
-  // Mirror RecordStore's key layout without requiring metadata.
-  const std::string key =
-      store_subspace.Sub("st").Pack(tup::Tuple().AddString(index_name));
-  QUICK_ASSIGN_OR_RETURN(std::optional<std::string> state,
-                         txn->Get(key, /*snapshot=*/true));
+  // The state key needs no metadata, so a store opened without it names
+  // it.
+  const RecordStore store(txn, store_subspace, /*metadata=*/nullptr);
+  QUICK_ASSIGN_OR_RETURN(
+      std::optional<std::string> state,
+      txn->Get(store.IndexStateKey(index_name), /*snapshot=*/true));
   if (!state.has_value()) return IndexState::kReadable;
   return static_cast<IndexState>(DecodeLittleEndian64(*state));
 }

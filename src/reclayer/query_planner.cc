@@ -170,8 +170,9 @@ Result<std::vector<Record>> ExecutePlanned(RecordStore* store,
     QUICK_ASSIGN_OR_RETURN(std::vector<IndexEntry> entries,
                            store->ScanIndexBounds(plan.index_name, bounds));
     for (const IndexEntry& entry : entries) {
-      QUICK_ASSIGN_OR_RETURN(std::optional<Record> rec,
-                             store->LoadByFullPrimaryKey(entry.primary_key));
+      QUICK_ASSIGN_OR_RETURN(
+          std::optional<Record> rec,
+          store->LoadByFullPrimaryKey(entry.primary_key.Encode()));
       if (!rec.has_value()) {
         return Status::Internal("index entry without record");
       }

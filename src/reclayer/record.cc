@@ -188,17 +188,17 @@ Status Record::Validate(const RecordTypeDef& type_def) const {
   return Status::OK();
 }
 
-Result<tup::Tuple> Record::PrimaryKey(const RecordTypeDef& type_def) const {
-  tup::Tuple pk;
-  pk.AddString(type_);
+Status Record::AppendPrimaryKey(const RecordTypeDef& type_def,
+                                std::string* out) const {
+  tup::AppendString(type_, out);
   for (const std::string& field : type_def.primary_key_fields) {
     const tup::Element* e = Find(field);
     if (e == nullptr) {
       return Status::InvalidArgument("missing primary key field " + field);
     }
-    pk.Add(*e);
+    tup::AppendElement(*e, out);
   }
-  return pk;
+  return Status::OK();
 }
 
 std::string Record::Serialize() const {

@@ -61,8 +61,11 @@ class Record {
   /// key fields are present.
   Status Validate(const RecordTypeDef& type_def) const;
 
-  /// The record's primary key per `type_def`: (type name, pk fields...).
-  Result<tup::Tuple> PrimaryKey(const RecordTypeDef& type_def) const;
+  /// Appends the tuple encoding of the record's primary key per
+  /// `type_def`, (type name, pk fields...), to `out`: the bytes RecordStore
+  /// keys the record and its index entries by.
+  Status AppendPrimaryKey(const RecordTypeDef& type_def,
+                          std::string* out) const;
 
   std::string Serialize() const;
 

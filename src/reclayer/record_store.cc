@@ -7,12 +7,34 @@
 namespace quick::rl {
 
 namespace {
-// Child subspace tags. Strings keep keys debuggable; the per-key overhead
-// is a few bytes.
-constexpr std::string_view kRecordsTag = "r";
-constexpr std::string_view kIndexesTag = "i";
-constexpr std::string_view kHeadersTag = "h";
-constexpr std::string_view kStatesTag = "st";
+// Child subspace tags, held encoded, so a key needs no child Subspace.
+// Strings keep keys debuggable; the per-key overhead is a few bytes.
+constexpr tup::StringTag kRecordsTag{"r"};
+constexpr tup::StringTag kIndexesTag{"i"};
+constexpr tup::StringTag kHeadersTag{"h"};  // per-record last-write stamps
+constexpr tup::StringTag kStatesTag{"st"};  // per-index lifecycle state
+
+/// Room for a type name and a primary key of usual size (a 32-character
+/// id), so building a record key allocates once.
+constexpr size_t kRecordKeyReserve = 64;
+
+/// `a` then `b` in one allocation.
+std::string Joined(std::string_view a, std::string_view b) {
+  std::string out;
+  out.reserve(a.size() + b.size());
+  out.append(a).append(b);
+  return out;
+}
+
+/// Appends the encoding of `index`'s values in `record`: each indexed
+/// field's element, Null when the field is absent.
+void AppendIndexedValues(const IndexDef& index, const Record& record,
+                         std::string* out) {
+  for (const std::string& field : index.fields) {
+    const tup::Element* e = record.Find(field);
+    tup::AppendElement(e != nullptr ? *e : tup::Element(tup::Null{}), out);
+  }
+}
 }  // namespace
 
 Counter* IndexEntriesReadCounter() {
@@ -23,31 +45,61 @@ Counter* IndexEntriesReadCounter() {
 
 RecordStore::RecordStore(fdb::Transaction* txn, tup::Subspace subspace,
                          const RecordMetadata* metadata)
-    : txn_(txn),
-      subspace_(std::move(subspace)),
-      records_(subspace_.Sub(kRecordsTag)),
-      indexes_(subspace_.Sub(kIndexesTag)),
-      headers_(subspace_.Sub(kHeadersTag)),
-      states_(subspace_.Sub(kStatesTag)),
-      metadata_(metadata) {}
+    : txn_(txn), subspace_(std::move(subspace)), metadata_(metadata) {}
 
-std::string RecordStore::RecordKey(const tup::Tuple& pk) const {
-  return records_.Pack(pk);
+std::string RecordStore::TagPrefix(std::string_view tag, size_t extra) const {
+  const std::string& prefix = subspace_.prefix();
+  std::string key;
+  key.reserve(prefix.size() + tag.size() + extra);
+  key.append(prefix).append(tag);
+  return key;
 }
 
-tup::Tuple RecordStore::IndexedValues(const IndexDef& index,
-                                      const Record& record) const {
-  tup::Tuple values;
-  for (const std::string& field : index.fields) {
-    values.Add(record.ElementOrNull(field));
+std::string RecordStore::Key(std::string_view tag, std::string_view name,
+                             std::string_view a, std::string_view b) const {
+  // The string element takes two bytes beyond the name (one more per zero
+  // byte in it, which no name here has).
+  std::string key = TagPrefix(tag, name.size() + 2 + a.size() + b.size());
+  tup::AppendString(name, &key);
+  key.append(a).append(b);
+  return key;
+}
+
+std::string RecordStore::IndexStateKey(std::string_view index_name) const {
+  return Key(kStatesTag, index_name);
+}
+
+std::string RecordStore::ValueIndexEntryKey(
+    std::string_view index_name, std::string_view values,
+    std::string_view primary_key) const {
+  return Key(kIndexesTag, index_name, values, primary_key);
+}
+
+void RecordStore::WriteIndexEntry(const IndexDef& index,
+                                  std::string_view values,
+                                  std::string_view full_pk, bool add) {
+  switch (index.kind) {
+    case IndexKind::kValue: {
+      const std::string key = Key(kIndexesTag, index.name, values, full_pk);
+      if (add) {
+        txn_->Set(key, "");
+      } else {
+        txn_->Clear(key);
+      }
+      break;
+    }
+    case IndexKind::kCount:
+      txn_->Atomic(fdb::AtomicOp::kAdd, Key(kIndexesTag, index.name, values),
+                   EncodeLittleEndian64(static_cast<uint64_t>(add ? 1 : -1)));
+      break;
+    case IndexKind::kVersion:
+      break;  // MaintainVersionIndexes
   }
-  return values;
 }
 
 Status RecordStore::MaintainVersionIndexes(const std::string& record_type,
-                                           const tup::Tuple& pk,
+                                           std::string_view full_pk,
                                            bool deleting) {
-  const std::string pk_bytes = pk.Encode();
   for (const IndexDef& index : metadata_->indexes()) {
     if (index.kind != IndexKind::kVersion || !index.Covers(record_type)) {
       continue;
@@ -55,14 +107,14 @@ Status RecordStore::MaintainVersionIndexes(const std::string& record_type,
     // Each version index keeps its own per-record header with the stamp of
     // the entry it currently holds, so entries can be cleared later even
     // though their keys embed a commit version.
-    const std::string header_key = VersionHeaderKey(index.name, pk);
+    const std::string header_key = Key(kHeadersTag, index.name, full_pk);
     QUICK_ASSIGN_OR_RETURN(std::optional<std::string> old_stamp,
                            txn_->Get(header_key));
     const bool existed =
         old_stamp.has_value() && old_stamp->size() == kVersionstampBytes;
     if (deleting) {
       if (existed) {
-        txn_->Clear(VersionIndexPrefix(index.name) + *old_stamp + pk_bytes);
+        txn_->Clear(Key(kIndexesTag, index.name, *old_stamp, full_pk));
         txn_->Clear(header_key);
       }
       continue;
@@ -71,39 +123,25 @@ Status RecordStore::MaintainVersionIndexes(const std::string& record_type,
       continue;  // insertion-order index: the original entry stands
     }
     if (existed) {
-      txn_->Clear(VersionIndexPrefix(index.name) + *old_stamp + pk_bytes);
+      txn_->Clear(Key(kIndexesTag, index.name, *old_stamp, full_pk));
     }
-    txn_->SetVersionstampedKey(VersionIndexPrefix(index.name), pk_bytes, "");
+    txn_->SetVersionstampedKey(Key(kIndexesTag, index.name),
+                               std::string(full_pk), "");
     txn_->SetVersionstampedValue(header_key, "");
   }
   return Status::OK();
 }
 
 Status RecordStore::RemoveIndexEntries(const Record& record,
-                                       const tup::Tuple& pk) {
+                                       std::string_view full_pk) {
+  std::string values;
   for (const IndexDef& index : metadata_->indexes()) {
     if (!index.Covers(record.type())) continue;
-    tup::Tuple values = IndexedValues(index, record);
-    switch (index.kind) {
-      case IndexKind::kValue: {
-        tup::Tuple key = tup::Tuple().AddString(index.name);
-        key.Concat(values);
-        key.Concat(pk);
-        txn_->Clear(indexes_.Pack(key));
-        break;
-      }
-      case IndexKind::kCount: {
-        tup::Tuple key = tup::Tuple().AddString(index.name);
-        key.Concat(values);
-        txn_->Atomic(fdb::AtomicOp::kAdd, indexes_.Pack(key),
-                     EncodeLittleEndian64(static_cast<uint64_t>(-1)));
-        break;
-      }
-      case IndexKind::kVersion:
-        break;  // handled by MaintainVersionIndexes
-    }
+    values.clear();
+    AppendIndexedValues(index, record, &values);
+    WriteIndexEntry(index, values, full_pk, /*add=*/false);
   }
-  return MaintainVersionIndexes(record.type(), pk, /*deleting=*/true);
+  return MaintainVersionIndexes(record.type(), full_pk, /*deleting=*/true);
 }
 
 Status RecordStore::SaveRecord(const Record& record) {
@@ -112,13 +150,19 @@ Status RecordStore::SaveRecord(const Record& record) {
     return Status::InvalidArgument("unknown record type " + record.type());
   }
   QUICK_RETURN_IF_ERROR(record.Validate(*type));
-  QUICK_ASSIGN_OR_RETURN(tup::Tuple pk, record.PrimaryKey(*type));
+
+  // The primary key (type name, pk fields...) is encoded once, straight
+  // into the record key; every index entry and version header below
+  // reuses those bytes.
+  std::string key = TagPrefix(kRecordsTag, kRecordKeyReserve);
+  const size_t pk_begin = key.size();
+  QUICK_RETURN_IF_ERROR(record.AppendPrimaryKey(*type, &key));
+  const std::string_view pk = std::string_view(key).substr(pk_begin);
 
   // Index maintenance needs the previous image to clear stale entries. The
   // read stays strong even when no index moves: its conflict is what makes
   // two leases of one item collide. Only the fields indexes read are
   // decoded.
-  const std::string key = RecordKey(pk);
   QUICK_ASSIGN_OR_RETURN(std::optional<std::string> old_bytes,
                          txn_->Get(key));
   std::optional<Record> old_record;
@@ -134,76 +178,44 @@ Status RecordStore::SaveRecord(const Record& record) {
   // untouched: updates to a record must not write (and hence not conflict
   // on) index keys they do not move — QuiCK's pointer index relies on this
   // ("updated only on pointer creations or deletions, never on updates").
+  // The values are compared as their encodings: the encoding is injective
+  // (doubles by their bits, as CompareElements orders them), so equal
+  // bytes are equal values.
+  std::string old_values;
+  std::string new_values;
   for (const IndexDef& index : metadata_->indexes()) {
+    if (index.kind == IndexKind::kVersion) continue;  // handled below
     const bool covers_new = index.Covers(record.type());
     const bool covers_old =
         old_record.has_value() && index.Covers(old_record->type());
-    std::optional<tup::Tuple> new_values =
-        covers_new ? std::optional<tup::Tuple>(IndexedValues(index, record))
-                   : std::nullopt;
-    std::optional<tup::Tuple> old_values =
-        covers_old
-            ? std::optional<tup::Tuple>(IndexedValues(index, *old_record))
-            : std::nullopt;
-    if (old_values.has_value() && new_values.has_value() &&
-        *old_values == *new_values) {
+    new_values.clear();
+    old_values.clear();
+    if (covers_new) AppendIndexedValues(index, record, &new_values);
+    if (covers_old) AppendIndexedValues(index, *old_record, &old_values);
+    if (covers_new && covers_old && new_values == old_values) {
       continue;  // unchanged entry / unchanged count group
     }
-    switch (index.kind) {
-      case IndexKind::kValue: {
-        if (old_values.has_value()) {
-          tup::Tuple old_key = tup::Tuple().AddString(index.name);
-          old_key.Concat(*old_values);
-          old_key.Concat(pk);
-          txn_->Clear(indexes_.Pack(old_key));
-        }
-        if (new_values.has_value()) {
-          tup::Tuple new_key = tup::Tuple().AddString(index.name);
-          new_key.Concat(*new_values);
-          new_key.Concat(pk);
-          txn_->Set(indexes_.Pack(new_key), "");
-        }
-        break;
-      }
-      case IndexKind::kCount: {
-        if (old_values.has_value()) {
-          tup::Tuple old_key = tup::Tuple().AddString(index.name);
-          old_key.Concat(*old_values);
-          txn_->Atomic(fdb::AtomicOp::kAdd, indexes_.Pack(old_key),
-                       EncodeLittleEndian64(static_cast<uint64_t>(-1)));
-        }
-        if (new_values.has_value()) {
-          tup::Tuple new_key = tup::Tuple().AddString(index.name);
-          new_key.Concat(*new_values);
-          txn_->Atomic(fdb::AtomicOp::kAdd, indexes_.Pack(new_key),
-                       EncodeLittleEndian64(1));
-        }
-        break;
-      }
-      case IndexKind::kVersion:
-        break;  // handled below
-    }
+    if (covers_old) WriteIndexEntry(index, old_values, pk, /*add=*/false);
+    if (covers_new) WriteIndexEntry(index, new_values, pk, /*add=*/true);
   }
   return MaintainVersionIndexes(record.type(), pk, /*deleting=*/false);
 }
 
-Result<std::optional<Record>> RecordStore::LoadRecord(const std::string& type,
-                                                      const tup::Tuple& pk,
+Result<std::optional<Record>> RecordStore::LoadRecord(std::string_view type,
+                                                      std::string_view pk,
                                                       bool snapshot) {
-  tup::Tuple full_pk = tup::Tuple().AddString(type);
-  full_pk.Concat(pk);
   QUICK_ASSIGN_OR_RETURN(std::optional<std::string> bytes,
-                         txn_->Get(RecordKey(full_pk), snapshot));
+                         txn_->Get(Key(kRecordsTag, type, pk), snapshot));
   if (!bytes.has_value()) return std::optional<Record>(std::nullopt);
   QUICK_ASSIGN_OR_RETURN(Record record, Record::Deserialize(*bytes));
   return std::optional<Record>(std::move(record));
 }
 
-Result<bool> RecordStore::DeleteRecord(const std::string& type,
-                                       const tup::Tuple& pk) {
-  tup::Tuple full_pk = tup::Tuple().AddString(type);
-  full_pk.Concat(pk);
-  const std::string key = RecordKey(full_pk);
+Result<bool> RecordStore::DeleteRecord(std::string_view type,
+                                       std::string_view pk) {
+  const std::string key = Key(kRecordsTag, type, pk);
+  const std::string_view full_pk = std::string_view(key).substr(
+      subspace_.prefix().size() + kRecordsTag.size());
   QUICK_ASSIGN_OR_RETURN(std::optional<std::string> bytes, txn_->Get(key));
   if (!bytes.has_value()) return false;
   QUICK_ASSIGN_OR_RETURN(
@@ -217,8 +229,9 @@ Result<bool> RecordStore::DeleteRecord(const std::string& type,
 Result<std::vector<Record>> RecordStore::ScanRecords(int limit) {
   fdb::RangeOptions opts;
   opts.limit = limit;
-  QUICK_ASSIGN_OR_RETURN(std::vector<fdb::KeyValue> kvs,
-                         txn_->GetRange(records_.Range(), opts));
+  QUICK_ASSIGN_OR_RETURN(
+      std::vector<fdb::KeyValue> kvs,
+      txn_->GetRange(KeyRange::Prefix(TagPrefix(kRecordsTag)), opts));
   std::vector<Record> out;
   out.reserve(kvs.size());
   for (const fdb::KeyValue& kv : kvs) {
@@ -264,9 +277,10 @@ Status RecordStore::CheckIndexReadable(const std::string& index_name) {
 
 Result<std::vector<StoredRecord>> RecordStore::ScanRecordsPage(
     const std::optional<tup::Tuple>& after_primary_key, int limit) {
-  KeyRange range = records_.Range();
+  const std::string records = TagPrefix(kRecordsTag);
+  KeyRange range = KeyRange::Prefix(records);
   if (after_primary_key.has_value()) {
-    range.begin = KeyAfter(records_.Pack(*after_primary_key));
+    range.begin = KeyAfter(Joined(records, after_primary_key->Encode()));
   }
   fdb::RangeOptions opts;
   opts.limit = limit;
@@ -278,7 +292,9 @@ Result<std::vector<StoredRecord>> RecordStore::ScanRecordsPage(
   out.reserve(kvs.size());
   for (const fdb::KeyValue& kv : kvs) {
     StoredRecord row;
-    QUICK_ASSIGN_OR_RETURN(row.primary_key, records_.Unpack(kv.key));
+    QUICK_ASSIGN_OR_RETURN(
+        row.primary_key,
+        tup::Tuple::Decode(std::string_view(kv.key).substr(records.size())));
     QUICK_ASSIGN_OR_RETURN(row.record, Record::Deserialize(kv.value));
     out.push_back(std::move(row));
   }
@@ -299,11 +315,11 @@ Status RecordStore::BackfillIndexEntry(const std::string& index_name,
   if (type == nullptr) {
     return Status::InvalidArgument("unknown record type " + record.type());
   }
-  QUICK_ASSIGN_OR_RETURN(tup::Tuple pk, record.PrimaryKey(*type));
-  tup::Tuple key = tup::Tuple().AddString(index->name);
-  key.Concat(IndexedValues(*index, record));
-  key.Concat(pk);
-  txn_->Set(indexes_.Pack(key), "");
+  std::string pk;
+  QUICK_RETURN_IF_ERROR(record.AppendPrimaryKey(*type, &pk));
+  std::string values;
+  AppendIndexedValues(*index, record, &values);
+  WriteIndexEntry(*index, values, pk, /*add=*/true);
   return Status::OK();
 }
 
@@ -329,9 +345,11 @@ Result<std::vector<IndexEntry>> RecordStore::ScanIndexBounds(
 }
 
 Result<std::optional<Record>> RecordStore::LoadByFullPrimaryKey(
-    const tup::Tuple& full_pk, bool snapshot) {
+    std::string_view full_pk, bool snapshot) {
+  std::string key = TagPrefix(kRecordsTag, full_pk.size());
+  key.append(full_pk);
   QUICK_ASSIGN_OR_RETURN(std::optional<std::string> bytes,
-                         txn_->Get(RecordKey(full_pk), snapshot));
+                         txn_->Get(key, snapshot));
   if (!bytes.has_value()) return std::optional<Record>(std::nullopt);
   QUICK_ASSIGN_OR_RETURN(Record record, Record::Deserialize(*bytes));
   return std::optional<Record>(std::move(record));
@@ -353,11 +371,11 @@ Status RecordStore::ScanIndexEntries(const std::string& index_name,
   if (index->kind == IndexKind::kValue) {
     QUICK_RETURN_IF_ERROR(CheckIndexReadable(index_name));
   }
-  const std::string prefix = indexes_.Pack(tup::Tuple().AddString(index_name));
+  const std::string prefix = Key(kIndexesTag, index_name);
   const KeyRange keys{
-      prefix + range.begin,
+      Joined(prefix, range.begin),
       range.end == KeyRange::All().end ? KeyRange::Prefix(prefix).end
-                                       : prefix + range.end};
+                                       : Joined(prefix, range.end)};
   fdb::RangeOptions opts;
   opts.limit = options.limit;
   opts.reverse = options.reverse;
@@ -416,10 +434,9 @@ Result<int64_t> RecordStore::GetCount(const std::string& index_name,
     return Status::InvalidArgument("index " + index_name +
                                    " is not a count index");
   }
-  tup::Tuple key = tup::Tuple().AddString(index_name);
-  key.Concat(group);
-  QUICK_ASSIGN_OR_RETURN(std::optional<std::string> v,
-                         txn_->Get(indexes_.Pack(key), snapshot));
+  QUICK_ASSIGN_OR_RETURN(
+      std::optional<std::string> v,
+      txn_->Get(Key(kIndexesTag, index_name, group.Encode()), snapshot));
   if (!v.has_value()) return int64_t{0};
   return static_cast<int64_t>(DecodeLittleEndian64(*v));
 }
@@ -476,11 +493,14 @@ Result<std::vector<VersionIndexEntry>> RecordStore::ScanVersionIndex(
 }
 
 Result<std::optional<std::string>> RecordStore::GetRecordVersion(
-    const std::string& index_name, const std::string& type,
-    const tup::Tuple& pk) {
-  tup::Tuple full_pk = tup::Tuple().AddString(type);
-  full_pk.Concat(pk);
-  return txn_->Get(VersionHeaderKey(index_name, full_pk));
+    std::string_view index_name, std::string_view type, std::string_view pk) {
+  // The header key of the full primary key (type name, pk fields...).
+  std::string key =
+      TagPrefix(kHeadersTag, index_name.size() + type.size() + 4 + pk.size());
+  tup::AppendString(index_name, &key);
+  tup::AppendString(type, &key);
+  key.append(pk);
+  return txn_->Get(key);
 }
 
 Result<std::vector<Record>> RecordStore::Execute(const Query& query) {
@@ -494,14 +514,13 @@ Result<std::vector<Record>> RecordStore::Execute(const Query& query) {
       ScanIndexRange(query.index_name, query.begin, query.end, options));
   std::vector<Record> out;
   for (const IndexEntry& entry : entries) {
-    QUICK_ASSIGN_OR_RETURN(std::optional<std::string> bytes,
-                           txn_->Get(RecordKey(entry.primary_key)));
-    if (!bytes.has_value()) {
+    QUICK_ASSIGN_OR_RETURN(std::optional<Record> record,
+                           LoadByFullPrimaryKey(entry.primary_key.Encode()));
+    if (!record.has_value()) {
       return Status::Internal("index entry without record");
     }
-    QUICK_ASSIGN_OR_RETURN(Record record, Record::Deserialize(*bytes));
-    if (query.predicate && !query.predicate(record)) continue;
-    out.push_back(std::move(record));
+    if (query.predicate && !query.predicate(*record)) continue;
+    out.push_back(*std::move(record));
     if (query.limit > 0 && static_cast<int>(out.size()) >= query.limit) break;
   }
   return out;
@@ -510,8 +529,9 @@ Result<std::vector<Record>> RecordStore::Execute(const Query& query) {
 Result<bool> RecordStore::IsEmpty() {
   fdb::RangeOptions opts;
   opts.limit = 1;
-  QUICK_ASSIGN_OR_RETURN(std::vector<fdb::KeyValue> kvs,
-                         txn_->GetRange(records_.Range(), opts));
+  QUICK_ASSIGN_OR_RETURN(
+      std::vector<fdb::KeyValue> kvs,
+      txn_->GetRange(KeyRange::Prefix(TagPrefix(kRecordsTag)), opts));
   return kvs.empty();
 }
 
@@ -521,8 +541,9 @@ Status RecordStore::DeleteAllRecords() {
 }
 
 Result<int64_t> RecordStore::CountRecords() {
-  QUICK_ASSIGN_OR_RETURN(std::vector<fdb::KeyValue> kvs,
-                         txn_->GetRange(records_.Range()));
+  QUICK_ASSIGN_OR_RETURN(
+      std::vector<fdb::KeyValue> kvs,
+      txn_->GetRange(KeyRange::Prefix(TagPrefix(kRecordsTag))));
   return static_cast<int64_t>(kvs.size());
 }
 

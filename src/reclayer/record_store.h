@@ -93,6 +93,12 @@ struct Query {
 /// transaction). Secondary indexes are maintained transactionally with
 /// every save/delete; count indexes use atomic adds and therefore never
 /// conflict.
+///
+/// The calls that address one record or index entry take its primary key
+/// as encoded tuple bytes (tup::Tuple::Encode of the pk fields, or
+/// tup::AppendString/AppendElement of them): every key is built by
+/// appending encoded elements to one string, with no Tuple in between.
+/// Scans hand back decoded Tuples.
 class RecordStore {
  public:
   RecordStore(fdb::Transaction* txn, tup::Subspace subspace,
@@ -101,17 +107,18 @@ class RecordStore {
   /// Inserts or replaces by primary key, updating every covering index.
   Status SaveRecord(const Record& record);
 
-  /// `pk` excludes the type name (it is prefixed internally). `snapshot`
-  /// loads add no read conflict — observational scans (QuiCK's peeks) use
-  /// them so looking at an item never aborts its writers; any path that
-  /// acts on the record must load strongly (or SaveRecord's own
-  /// previous-image read supplies the conflict).
-  Result<std::optional<Record>> LoadRecord(const std::string& type,
-                                           const tup::Tuple& pk,
+  /// `pk` is the encoded primary-key fields, without the type name (it is
+  /// prefixed internally). `snapshot` loads add no read conflict —
+  /// observational scans (QuiCK's peeks) use them so looking at an item
+  /// never aborts its writers; any path that acts on the record must load
+  /// strongly (or SaveRecord's own previous-image read supplies the
+  /// conflict).
+  Result<std::optional<Record>> LoadRecord(std::string_view type,
+                                           std::string_view pk,
                                            bool snapshot = false);
 
-  /// True when a record was deleted.
-  Result<bool> DeleteRecord(const std::string& type, const tup::Tuple& pk);
+  /// True when a record was deleted. `pk` as in LoadRecord.
+  Result<bool> DeleteRecord(std::string_view type, std::string_view pk);
 
   /// All records in primary-key order (limit 0 = unlimited).
   Result<std::vector<Record>> ScanRecords(int limit = 0);
@@ -129,9 +136,7 @@ class RecordStore {
 
   /// Key of the per-store index-state record (IndexState as LE64; absent
   /// means readable). Shared with OnlineIndexBuilder.
-  std::string IndexStateKey(const std::string& index_name) const {
-    return states_.Pack(tup::Tuple().AddString(index_name));
-  }
+  std::string IndexStateKey(std::string_view index_name) const;
 
   /// Streams the entries of a value or version index whose entry bytes
   /// lie in `range` (begin inclusive, end exclusive; an end of
@@ -160,9 +165,9 @@ class RecordStore {
       const std::string& index_name, const IndexBounds& bounds,
       const IndexScanOptions& options = {});
 
-  /// Loads a record by its full primary key (type-name prefix included),
-  /// as index entries carry it. `snapshot` as in LoadRecord.
-  Result<std::optional<Record>> LoadByFullPrimaryKey(const tup::Tuple& full_pk,
+  /// Loads a record by its encoded full primary key (type-name prefix
+  /// included), as index entries carry it. `snapshot` as in LoadRecord.
+  Result<std::optional<Record>> LoadByFullPrimaryKey(std::string_view full_pk,
                                                      bool snapshot = false);
 
   /// Value of a count index for a grouping tuple. `snapshot` avoids a read
@@ -180,24 +185,22 @@ class RecordStore {
 
   /// The versionstamp `index_name` currently holds for the record (its
   /// last write, or first write for sticky indexes); nullopt when absent.
+  /// `pk` as in LoadRecord.
   Result<std::optional<std::string>> GetRecordVersion(
-      const std::string& index_name, const std::string& type,
-      const tup::Tuple& pk);
+      std::string_view index_name, std::string_view type,
+      std::string_view pk);
 
   /// Runs a query: index scan + record load + residual predicate.
   Result<std::vector<Record>> Execute(const Query& query);
 
-  /// Exact storage key of one value-index entry. QuiCK's enqueue protocol
-  /// point-reads this key to test pointer existence and declares write
-  /// conflicts on it for external stores (§6.1 of the paper).
-  std::string ValueIndexEntryKey(const std::string& index_name,
-                                 const tup::Tuple& values,
-                                 const tup::Tuple& primary_key) const {
-    tup::Tuple key = tup::Tuple().AddString(index_name);
-    key.Concat(values);
-    key.Concat(primary_key);
-    return indexes_.Pack(key);
-  }
+  /// Exact storage key of one value-index entry, from the encoded indexed
+  /// values and the encoded full primary key (type name included). QuiCK's
+  /// enqueue protocol point-reads this key to test pointer existence and
+  /// declares write conflicts on it for external stores (§6.1 of the
+  /// paper).
+  std::string ValueIndexEntryKey(std::string_view index_name,
+                                 std::string_view values,
+                                 std::string_view primary_key) const;
 
   /// True when the store holds no records. Performs a strong (conflicting)
   /// read of one key, which is what makes QuiCK's pointer GC safe (§6
@@ -213,27 +216,32 @@ class RecordStore {
   const tup::Subspace& subspace() const { return subspace_; }
 
  private:
-  /// Key of the record with primary key `pk` (pk includes the type prefix).
-  std::string RecordKey(const tup::Tuple& pk) const;
+  /// This store's prefix followed by `tag`, the encoding of one of its
+  /// child tags, in a string with room for `extra` more bytes.
+  std::string TagPrefix(std::string_view tag, size_t extra = 0) const;
+  /// TagPrefix(tag), then the string element `name` and the encoded bytes
+  /// `a` and `b`, built in one string: a record key is (records tag, type
+  /// name, pk fields), a value-index entry (indexes tag, index name,
+  /// values, full primary key), a count group (indexes tag, index name,
+  /// values), a version header (headers tag, index name, full primary
+  /// key).
+  std::string Key(std::string_view tag, std::string_view name,
+                  std::string_view a = {}, std::string_view b = {}) const;
 
-  Status RemoveIndexEntries(const Record& record, const tup::Tuple& pk);
-  tup::Tuple IndexedValues(const IndexDef& index, const Record& record) const;
+  /// Writes (`add`) or clears the entry of value index `index` at encoded
+  /// `values` for encoded full primary key `full_pk`; for a count index,
+  /// adds one to or subtracts one from the group at `values`.
+  void WriteIndexEntry(const IndexDef& index, std::string_view values,
+                       std::string_view full_pk, bool add);
+  /// Clears the entries of `record`, whose encoded full primary key is
+  /// `full_pk`, from every covering index.
+  Status RemoveIndexEntries(const Record& record, std::string_view full_pk);
 
-  /// Byte prefix of a version index's entries (stamp + pk follow raw).
-  std::string VersionIndexPrefix(const std::string& index_name) const {
-    return indexes_.Pack(tup::Tuple().AddString(index_name));
-  }
-  std::string VersionHeaderKey(const std::string& index_name,
-                               const tup::Tuple& pk) const {
-    tup::Tuple key = tup::Tuple().AddString(index_name);
-    key.Concat(pk);
-    return headers_.Pack(key);
-  }
   /// Maintains every covering version index for a record write/delete:
   /// clears the entry at the old stamp (from the header) and, unless
   /// `deleting`, writes a fresh versionstamped entry and header.
   Status MaintainVersionIndexes(const std::string& record_type,
-                                const tup::Tuple& pk, bool deleting);
+                                std::string_view full_pk, bool deleting);
   /// Collects a value index's entries in `range` (entry bytes) as
   /// IndexEntry tuples.
   Result<std::vector<IndexEntry>> CollectIndexEntries(
@@ -242,10 +250,6 @@ class RecordStore {
 
   fdb::Transaction* txn_;
   tup::Subspace subspace_;
-  tup::Subspace records_;
-  tup::Subspace indexes_;
-  tup::Subspace headers_;  // per-record last-write versionstamps
-  tup::Subspace states_;   // per-index lifecycle state (online builds)
   const RecordMetadata* metadata_;
   /// Indexes this store has found readable; each is checked once per store.
   std::vector<std::string> readable_indexes_;

@@ -112,6 +112,32 @@ void AppendElement(const Element& e, std::string* out);
 /// Appends the encoding of the string element `s` (no Element built).
 void AppendString(std::string_view s, std::string* out);
 
+/// The encoding of a string element fixed at compile time, as AppendString
+/// writes it: the string type code 0x02, the bytes, 0x00. For the tags that
+/// name the parts of a keyspace (a record store's "r", a database's "ck"),
+/// so a key appends its tag's bytes with no encoding step:
+///   static constexpr tup::StringTag kZoneTag{"z"};
+/// A tag holds no zero byte (one would need escaping); the compiler
+/// rejects one that does.
+template <size_t N>
+class StringTag {
+ public:
+  consteval StringTag(const char (&tag)[N]) {
+    bytes_[0] = '\x02';
+    for (size_t i = 0; i + 1 < N; ++i) {
+      if (tag[i] == '\0') throw "a StringTag holds no zero byte";
+      bytes_[i + 1] = tag[i];
+    }
+    bytes_[N] = '\x00';
+  }
+
+  constexpr size_t size() const { return N + 1; }
+  constexpr operator std::string_view() const { return {bytes_, N + 1}; }
+
+ private:
+  char bytes_[N + 1];
+};
+
 /// Sequential decoder over an encoded tuple: reads one element at a time
 /// without building a Tuple, so a hot scan decodes only the fields it uses
 /// (QueueZone reads an index entry's priority, vesting time and item id

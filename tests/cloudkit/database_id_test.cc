@@ -49,8 +49,13 @@ TEST(DatabaseIdTest, DistinctIdsDistinctKeys) {
 }
 
 TEST(DatabaseIdTest, TupleEncodingDistinct) {
-  EXPECT_NE(DatabaseId::Private("a", "u").ToTuple().Encode(),
-            DatabaseId::Public("a").ToTuple().Encode());
+  auto encode = [](const DatabaseId& id) {
+    std::string out;
+    id.AppendTo(&out);
+    return out;
+  };
+  EXPECT_NE(encode(DatabaseId::Private("a", "u")),
+            encode(DatabaseId::Public("a")));
 }
 
 TEST(DatabaseIdTest, OrderingIsTotal) {

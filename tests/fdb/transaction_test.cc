@@ -152,6 +152,40 @@ TEST_F(TransactionTest, SecondCommitWithoutResetIsRejected) {
   EXPECT_EQ(ReadBack("out").value(), "2");
 }
 
+TEST_F(TransactionTest, ReadAfterSubmitIsRejected) {
+  Put("k", "v0");
+  Transaction t1 = db_->CreateTransaction();
+  ASSERT_TRUE(t1.Get("k").ok());
+  t1.Set("out", "1");
+  Put("k", "v1");
+  ASSERT_TRUE(t1.Commit().IsNotCommitted());
+  // The failed request took t1's write buffer with it, so a read could not
+  // see t1's own writes: every read refuses until a reset.
+  EXPECT_EQ(t1.Get("out").status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t1.Get("k", /*snapshot=*/true).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t1.GetRange(KeyRange::All()).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t1.ScanRange(KeyRange::All(), RangeOptions{}, /*snapshot=*/false,
+                         [](std::string_view, std::string_view) {
+                           return true;
+                         })
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t1.GetKey(KeySelector::FirstGreaterOrEqual("k")).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(t1.GetReadVersion().status().code(),
+            StatusCode::kFailedPrecondition);
+
+  ASSERT_TRUE(t1.OnError(Status::NotCommitted()).ok());
+  EXPECT_EQ(t1.Get("k").value(), std::optional<std::string>("v1"));
+  EXPECT_FALSE(t1.Get("out").value().has_value());
+  t1.Set("out", "2");
+  EXPECT_EQ(t1.Get("out").value(), std::optional<std::string>("2"));
+  EXPECT_TRUE(t1.Commit().ok());
+  EXPECT_EQ(ReadBack("out").value(), "2");
+}
+
 TEST_F(TransactionTest, RunTransactionRetriesAfterAConflict) {
   Put("k", "v0");
   int attempts = 0;

@@ -8,6 +8,11 @@
 namespace quick::rl {
 namespace {
 
+/// The encoded primary key of the record whose "id" is `id`.
+std::string IdPk(const std::string& id) {
+  return tup::Tuple().AddString(id).Encode();
+}
+
 RecordMetadata MakeMetadata() {
   RecordMetadata meta;
   RecordTypeDef user;
@@ -79,7 +84,7 @@ TEST_F(RecordStoreTest, SaveAndLoad) {
     return store.SaveRecord(User("u1", 30, "sf"));
   });
   WithStore([&](RecordStore& store) {
-    auto loaded = store.LoadRecord("User", tup::Tuple().AddString("u1"));
+    auto loaded = store.LoadRecord("User", IdPk("u1"));
     QUICK_RETURN_IF_ERROR(loaded.status());
     EXPECT_TRUE(loaded->has_value());
     EXPECT_EQ((*loaded)->GetInt("age").value(), 30);
@@ -89,7 +94,7 @@ TEST_F(RecordStoreTest, SaveAndLoad) {
 
 TEST_F(RecordStoreTest, LoadMissingReturnsNullopt) {
   WithStore([&](RecordStore& store) {
-    auto loaded = store.LoadRecord("User", tup::Tuple().AddString("ghost"));
+    auto loaded = store.LoadRecord("User", IdPk("ghost"));
     QUICK_RETURN_IF_ERROR(loaded.status());
     EXPECT_FALSE(loaded->has_value());
     return Status::OK();
@@ -115,7 +120,7 @@ TEST_F(RecordStoreTest, OverwriteReplacesAndReindexes) {
     return store.SaveRecord(User("u1", 31, "nyc"));
   });
   WithStore([&](RecordStore& store) {
-    auto loaded = store.LoadRecord("User", tup::Tuple().AddString("u1"));
+    auto loaded = store.LoadRecord("User", IdPk("u1"));
     EXPECT_EQ((*loaded)->GetInt("age").value(), 31);
     // Old index entry gone, new present.
     auto old_entries =
@@ -133,12 +138,12 @@ TEST_F(RecordStoreTest, DeleteRemovesRecordAndIndexEntries) {
     return store.SaveRecord(User("u1", 30, "sf"));
   });
   WithStore([&](RecordStore& store) {
-    auto deleted = store.DeleteRecord("User", tup::Tuple().AddString("u1"));
+    auto deleted = store.DeleteRecord("User", IdPk("u1"));
     EXPECT_TRUE(deleted.value());
     return Status::OK();
   });
   WithStore([&](RecordStore& store) {
-    auto loaded = store.LoadRecord("User", tup::Tuple().AddString("u1"));
+    auto loaded = store.LoadRecord("User", IdPk("u1"));
     EXPECT_FALSE(loaded->has_value());
     auto entries = store.ScanIndex("by_age", tup::Tuple());
     EXPECT_TRUE(entries->empty());
@@ -150,7 +155,7 @@ TEST_F(RecordStoreTest, DeleteRemovesRecordAndIndexEntries) {
 
 TEST_F(RecordStoreTest, DeleteMissingReturnsFalse) {
   WithStore([&](RecordStore& store) {
-    EXPECT_FALSE(store.DeleteRecord("User", tup::Tuple().AddString("x")).value());
+    EXPECT_FALSE(store.DeleteRecord("User", IdPk("x")).value());
     return Status::OK();
   });
 }
@@ -393,7 +398,7 @@ TEST_F(RecordStoreTest, StoresInDistinctSubspacesAreIsolated) {
     RecordStore a(&txn, tup::Subspace(tup::Tuple().AddString("A")), &meta_);
     RecordStore b(&txn, tup::Subspace(tup::Tuple().AddString("B")), &meta_);
     QUICK_RETURN_IF_ERROR(a.SaveRecord(User("u1", 30, "sf")));
-    auto in_b = b.LoadRecord("User", tup::Tuple().AddString("u1"));
+    auto in_b = b.LoadRecord("User", IdPk("u1"));
     QUICK_RETURN_IF_ERROR(in_b.status());
     EXPECT_FALSE(in_b->has_value());
     EXPECT_TRUE(b.IsEmpty().value());

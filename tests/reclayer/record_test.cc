@@ -102,7 +102,9 @@ TEST(RecordTest, ValidateRejectsTypeMismatch) {
 TEST(RecordTest, PrimaryKeyIncludesTypePrefix) {
   Record r("Item");
   r.SetString("id", "a1");
-  tup::Tuple pk = r.PrimaryKey(ItemType()).value();
+  std::string encoded;
+  ASSERT_TRUE(r.AppendPrimaryKey(ItemType(), &encoded).ok());
+  tup::Tuple pk = tup::Tuple::Decode(encoded).value();
   ASSERT_EQ(pk.size(), 2u);
   EXPECT_EQ(pk.GetString(0).value(), "Item");
   EXPECT_EQ(pk.GetString(1).value(), "a1");

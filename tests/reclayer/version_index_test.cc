@@ -7,6 +7,11 @@
 namespace quick::rl {
 namespace {
 
+/// The encoded primary key of the document whose "id" is `id`.
+std::string IdPk(const std::string& id) {
+  return tup::Tuple().AddString(id).Encode();
+}
+
 RecordMetadata VersionedMetadata() {
   RecordMetadata meta;
   RecordTypeDef doc;
@@ -46,7 +51,7 @@ class VersionIndexTest : public ::testing::Test {
     return fdb::RunTransaction(&db_, [&](fdb::Transaction& txn) {
       RecordStore store(&txn, tup::Subspace(tup::Tuple().AddString("s")),
                         &meta_);
-      return store.DeleteRecord("Doc", tup::Tuple().AddString(id)).status();
+      return store.DeleteRecord("Doc", IdPk(id)).status();
     });
   }
 
@@ -75,8 +80,7 @@ class VersionIndexTest : public ::testing::Test {
       RecordStore store(&txn, tup::Subspace(tup::Tuple().AddString("s")),
                         &meta_);
       QUICK_ASSIGN_OR_RETURN(
-          out, store.GetRecordVersion(index, "Doc",
-                                      tup::Tuple().AddString(id)));
+          out, store.GetRecordVersion(index, "Doc", IdPk(id)));
       return Status::OK();
     });
     EXPECT_TRUE(st.ok()) << st;

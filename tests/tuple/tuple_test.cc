@@ -290,6 +290,17 @@ TEST(TupleTest, AppendWritesWhatEncodeWrites) {
   }
 }
 
+TEST(TupleTest, StringTagHoldsWhatEncodeWrites) {
+  // Tags that start with a hex digit or hold 0xFF (no escape) included.
+  static constexpr StringTag kShort{"r"};
+  static constexpr StringTag kHex{"ab"};
+  static constexpr StringTag kHigh{"\xff" "ck"};
+  EXPECT_EQ(std::string_view(kShort), Tuple().AddString("r").Encode());
+  EXPECT_EQ(std::string_view(kHex), Tuple().AddString("ab").Encode());
+  EXPECT_EQ(std::string_view(kHigh), Tuple().AddString("\xff" "ck").Encode());
+  EXPECT_EQ(kHex.size(), 4u);
+}
+
 TEST(TupleTest, ReaderCopiesRunsAcrossEscapedZeros) {
   for (const std::string& s : kEscapeCases) {
     const std::string encoded =
